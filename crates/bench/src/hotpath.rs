@@ -242,7 +242,8 @@ pub fn memo_campaign_ms() -> (f64, f64) {
 /// leaf-spine testbed, writing then reading at two block sizes, with the
 /// rank-group collapse toggled by `collapse`. The harness toggle is the
 /// only difference between the two timings — collapse provably changes
-/// speed, never results (see `mpisim::collapse`).
+/// speed, never results (see `mpisim::collapse`). Asserts that every run
+/// took the path the toggle asks for.
 pub fn scale_sweep_ms(ranks: usize, block: u64, collapse: bool) -> f64 {
     use workloads::ior::{Ior, IorOp};
     let spec = cluster::scale::scale_1024();
@@ -257,12 +258,15 @@ pub fn scale_sweep_ms(ranks: usize, block: u64, collapse: bool) -> f64 {
                 .scenario()
                 .programs;
             let mut machine = spec.machine();
-            let mut sink = mpisim::NullSink;
             let stats = mpisim::Runtime::default().with_collapse(collapse).run(
                 &mut machine,
                 &placement,
                 programs,
-                &mut sink,
+                &mut simcore::obs::NoSink,
+            );
+            assert_eq!(
+                stats.collapsed, collapse,
+                "the scale sweep must take the rank-group fast path exactly when enabled"
             );
             assert_eq!(stats.per_rank.len(), ranks);
             assert!(stats.wall_time > Time::ZERO);
@@ -279,12 +283,7 @@ pub fn run(cfg: &HotpathConfig) -> HotpathReport {
     let pinned_cell_ms = cells.iter().map(|c| c.ms).sum();
     let (memo_cold_ms, memo_warm_ms) = memo_campaign_ms();
     let scale_full_ms = scale_sweep_ms(cfg.scale_ranks, cfg.scale_block, false);
-    let before = mpisim::collapsed_run_count();
     let scale_collapsed_ms = scale_sweep_ms(cfg.scale_ranks, cfg.scale_block, true);
-    assert!(
-        mpisim::collapsed_run_count() > before,
-        "the scale sweep must engage the rank-group fast path"
-    );
     HotpathReport {
         schema: 1,
         event_queue_mops,

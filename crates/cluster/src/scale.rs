@@ -194,10 +194,8 @@ impl Machine for ScaleMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpisim::{
-        collapsed_run_count, GenStream, MpiOp, NullSink, OpStream, RunStats, Runtime, SignedStream,
-        StreamSignature,
-    };
+    use mpisim::{GenStream, MpiOp, OpStream, RunStats, Runtime, SignedStream, StreamSignature};
+    use simcore::obs::NoSink;
     use simcore::MIB;
 
     fn small_spec() -> ScaleSpec {
@@ -227,27 +225,23 @@ mod tests {
 
     fn run(machine: &mut ScaleMachine, ranks: usize, collapse: bool) -> RunStats {
         let placement = machine.spec().placement(ranks);
-        let mut sink = NullSink;
         Runtime::default().with_collapse(collapse).run(
             machine,
             &placement,
             signed_writes(ranks, 8, MIB),
-            &mut sink,
+            &mut NoSink,
         )
     }
 
     #[test]
     fn collapsed_and_full_execution_agree_on_the_scale_machine() {
         let spec = small_spec();
-        let before = collapsed_run_count();
         let full = run(&mut spec.machine(), 32, false);
-        assert_eq!(collapsed_run_count(), before);
+        assert!(!full.collapsed);
         let collapsed = run(&mut spec.machine(), 32, true);
-        assert!(
-            collapsed_run_count() > before,
-            "scale machine must collapse"
-        );
-        assert_eq!(full, collapsed);
+        assert!(collapsed.collapsed, "scale machine must collapse");
+        assert_eq!(full.wall_time, collapsed.wall_time);
+        assert_eq!(full.per_rank, collapsed.per_rank);
     }
 
     #[test]
@@ -263,17 +257,14 @@ mod tests {
     #[test]
     fn degraded_storage_disables_collapse_and_slows_io() {
         let spec = small_spec();
-        let before = collapsed_run_count();
         let healthy = run(&mut spec.machine(), 16, true);
-        assert!(collapsed_run_count() > before);
+        assert!(healthy.collapsed);
 
-        let at = collapsed_run_count();
         let mut degraded_machine = spec.machine().with_degraded_storage(4);
         assert!(!degraded_machine.rank_invariant());
         let degraded = run(&mut degraded_machine, 16, true);
-        assert_eq!(
-            collapsed_run_count(),
-            at,
+        assert!(
+            !degraded.collapsed,
             "degraded machine must execute granularly"
         );
         assert!(

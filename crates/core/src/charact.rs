@@ -17,7 +17,8 @@ use crate::perf_table::{AccessMode, IoLevel, OpType, PerfRow, PerfTable, PerfTab
 use crate::trace::{AppProfile, ProfileSink};
 use cluster::{ClusterMachine, ClusterSpec, ConfigError, IoConfig, Mount};
 use fs::FileId;
-use mpisim::{NullSink, RunStats, Runtime};
+use mpisim::{RunStats, Runtime};
+use simcore::obs::NoSink;
 use simcore::{Abort, Bandwidth, Time, WatchdogSpec, KIB, MIB};
 use workloads::ior::{paper_block_sweep, Ior, IorOp};
 use workloads::iozone::{paper_record_sweep, IozonePattern, IozoneRun};
@@ -157,7 +158,7 @@ fn run_fresh(
     let mut machine = ClusterMachine::try_new(spec, config)?;
     let programs = scenario.install(&mut machine);
     let placement = spec.placement(ranks);
-    let mut sink = NullSink;
+    let mut sink = NoSink;
     Runtime::default()
         .run_supervised(
             &mut machine,

@@ -36,7 +36,6 @@ pub mod perf_table;
 pub mod report;
 pub mod supervise;
 pub mod trace;
-pub mod trace_export;
 
 pub use advisor::{predict, rank_configs, Prediction};
 pub use campaign::{
@@ -54,4 +53,3 @@ pub use perf_table::{AccessMode, AccessType, IoLevel, OpType, PerfRow, PerfTable
 pub use report::render_resilience_table;
 pub use supervise::run_isolated;
 pub use trace::{AppProfile, PhaseReport, ProfileSink};
-pub use trace_export::ChromeTraceSink;

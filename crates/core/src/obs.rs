@@ -123,14 +123,11 @@ impl ObsMetrics {
     pub fn record(&mut self, ev: &ObsEvent) {
         match *ev {
             ObsEvent::MpiOp {
-                bytes,
-                start,
-                end,
-                io,
-                ..
+                start, end, kind, ..
             } => {
-                if io {
-                    self.level(IoLevel::Library).record(bytes, start, end);
+                if kind.io() {
+                    self.level(IoLevel::Library)
+                        .record(kind.bytes(), start, end);
                 }
             }
             ObsEvent::NetSend {
@@ -383,9 +380,7 @@ pub fn phase_timeline(events: &[ObsEvent], profile: &AppProfile) -> Vec<PhaseUti
         .collect();
     for ev in events {
         let (at, mpi, net, storage) = match *ev {
-            ObsEvent::MpiOp {
-                start, bytes, io, ..
-            } if io => (start, bytes, 0, 0),
+            ObsEvent::MpiOp { start, kind, .. } if kind.io() => (start, kind.bytes(), 0, 0),
             ObsEvent::NetSend { start, bytes, .. } => (start, 0, bytes, 0),
             ObsEvent::StorageRun { start, bytes, .. }
             | ObsEvent::StorageIo { start, bytes, .. } => (start, 0, 0, bytes),
@@ -517,15 +512,16 @@ fn event_jsonl(ev: &ObsEvent) -> String {
     match *ev {
         ObsEvent::MpiOp {
             rank,
-            label,
             start,
             end,
-            bytes,
-            io,
+            kind: op,
         } => format!(
-            "{{\"kind\":\"{kind}\",\"rank\":{rank},\"label\":\"{label}\",\"start_ns\":{},\"end_ns\":{},\"bytes\":{bytes},\"io\":{io}}}",
+            "{{\"kind\":\"{kind}\",\"rank\":{rank},\"label\":\"{}\",\"start_ns\":{},\"end_ns\":{},\"bytes\":{},\"io\":{}}}",
+            op.label(),
             start.as_nanos(),
-            end.as_nanos()
+            end.as_nanos(),
+            op.bytes(),
+            op.io()
         ),
         ObsEvent::NetSend {
             from,
@@ -623,7 +619,8 @@ fn event_jsonl(ev: &ObsEvent) -> String {
 /// Serializes one or more runs as a Chrome trace (JSON array of complete
 /// `ph:"X"` and instant `ph:"i"` events; timestamps in integer
 /// microseconds). Load in `chrome://tracing` or Perfetto. Layers map to
-/// `pid`s; MPI events use the rank as `tid`.
+/// `pid`s; MPI events use the rank as `tid`. A run that outgrew its
+/// collector's cap ends with one instant event naming the dropped count.
 pub fn to_chrome(runs: &[(TraceMeta, ObsData)]) -> String {
     let mut out = String::from("[");
     let mut first = true;
@@ -633,8 +630,19 @@ pub fn to_chrome(runs: &[(TraceMeta, ObsData)]) -> String {
         } else {
             format!("{}/", esc(&meta.app))
         };
-        for ev in &data.events {
-            let line = chrome_event(ev, &name_prefix);
+        let dropped = (data.dropped > 0).then(|| {
+            let name = format!(
+                "{name_prefix}[{} events dropped past the cap]",
+                data.dropped
+            );
+            chrome_instant(name, 0, Time::ZERO, String::new())
+        });
+        for line in data
+            .events
+            .iter()
+            .map(|ev| chrome_event(ev, &name_prefix))
+            .chain(dropped)
+        {
             if !first {
                 out.push(',');
             }
@@ -647,6 +655,13 @@ pub fn to_chrome(runs: &[(TraceMeta, ObsData)]) -> String {
     out
 }
 
+fn chrome_instant(name: String, pid: u32, at: Time, args: String) -> String {
+    format!(
+        "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"g\",\"pid\":{pid},\"tid\":0,\"ts\":{},\"args\":{{{args}}}}}",
+        at.as_nanos() / 1_000
+    )
+}
+
 fn chrome_event(ev: &ObsEvent, prefix: &str) -> String {
     let us = |t: Time| t.as_nanos() / 1_000;
     let complete = |name: String, pid: u32, tid: usize, start: Time, end: Time, args: String| {
@@ -656,28 +671,20 @@ fn chrome_event(ev: &ObsEvent, prefix: &str) -> String {
             us(end.saturating_sub(start)).max(1)
         )
     };
-    let instant = |name: String, pid: u32, at: Time, args: String| {
-        format!(
-            "{{\"name\":\"{name}\",\"ph\":\"i\",\"s\":\"g\",\"pid\":{pid},\"tid\":0,\"ts\":{},\"args\":{{{args}}}}}",
-            us(at)
-        )
-    };
     // pid 1 = MPI ranks, 2 = fabric, 3 = filesystem, 4 = storage, 5 = faults.
     match *ev {
         ObsEvent::MpiOp {
             rank,
-            label,
             start,
             end,
-            bytes,
-            ..
+            kind,
         } => complete(
-            format!("{prefix}{label}"),
+            format!("{prefix}{}", kind.label()),
             1,
-            rank,
+            rank as usize,
             start,
             end,
-            format!("\"bytes\":{bytes}"),
+            format!("\"bytes\":{}", kind.bytes()),
         ),
         ObsEvent::NetSend {
             from,
@@ -693,7 +700,7 @@ fn chrome_event(ev: &ObsEvent, prefix: &str) -> String {
             end,
             format!("\"bytes\":{bytes}"),
         ),
-        ObsEvent::NfsRetry { op, at, attempt } => instant(
+        ObsEvent::NfsRetry { op, at, attempt } => chrome_instant(
             format!("{prefix}nfs retry {op}"),
             3,
             at,
@@ -703,13 +710,13 @@ fn chrome_event(ev: &ObsEvent, prefix: &str) -> String {
             hit_bytes,
             miss_bytes,
             at,
-        } => instant(
+        } => chrome_instant(
             format!("{prefix}cache"),
             3,
             at,
             format!("\"hit_bytes\":{hit_bytes},\"miss_bytes\":{miss_bytes}"),
         ),
-        ObsEvent::CacheEvict { bytes, at } => instant(
+        ObsEvent::CacheEvict { bytes, at } => chrome_instant(
             format!("{prefix}evict"),
             3,
             at,
@@ -758,13 +765,13 @@ fn chrome_event(ev: &ObsEvent, prefix: &str) -> String {
             server,
             at,
             attempt,
-        } => instant(
+        } => chrome_instant(
             format!("{prefix}pfs retry {op}"),
             3,
             at,
             format!("\"server\":{server},\"attempt\":{attempt}"),
         ),
-        ObsEvent::PfsFailover { op, from, to, at } => instant(
+        ObsEvent::PfsFailover { op, from, to, at } => chrome_instant(
             format!("{prefix}pfs failover {op}"),
             3,
             at,
@@ -792,7 +799,7 @@ fn chrome_event(ev: &ObsEvent, prefix: &str) -> String {
             String::new(),
         ),
         ObsEvent::FaultApplied { kind, at } => {
-            instant(format!("{prefix}fault {kind}"), 5, at, String::new())
+            chrome_instant(format!("{prefix}fault {kind}"), 5, at, String::new())
         }
     }
 }
@@ -802,14 +809,17 @@ mod tests {
     use super::*;
     use crate::trace::{Phase, PhaseReport};
 
-    fn mpi(rank: usize, start_s: u64, bytes: u64) -> ObsEvent {
+    fn mpi(rank: u32, start_s: u64, bytes: u64) -> ObsEvent {
         ObsEvent::MpiOp {
             rank,
-            label: "write",
             start: Time::from_secs(start_s),
             end: Time::from_secs(start_s + 1),
-            bytes,
-            io: true,
+            kind: simcore::obs::TraceKind::Write {
+                file: 1,
+                offset: 0,
+                len: bytes,
+                collective: false,
+            },
         }
     }
 
@@ -996,6 +1006,64 @@ mod tests {
         let arr = v.as_array().expect("array");
         assert_eq!(arr.len(), 2);
         assert_eq!(arr[0]["ph"], "X");
+    }
+
+    #[test]
+    fn chrome_trace_reports_the_drop_count() {
+        let col = Collector::with_capacity(2);
+        {
+            let _g = col.install();
+            for i in 0..5 {
+                simcore::obs::emit(|| mpi(0, i, 10));
+            }
+        }
+        let text = to_chrome(&[(TraceMeta::default(), col.take())]);
+        let v: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
+        let arr = v.as_array().expect("array");
+        assert_eq!(arr.len(), 3, "two kept events and the drop notice");
+        assert!(arr[2]["name"]
+            .as_str()
+            .unwrap()
+            .contains("3 events dropped"));
+    }
+
+    #[test]
+    fn chrome_trace_of_a_small_run_has_one_lane_per_rank() {
+        use cluster::{presets, ClusterMachine, DeviceLayout, IoConfigBuilder};
+        use workloads::{BtClass, BtIo, BtSubtype};
+
+        let spec = presets::test_cluster();
+        let config = IoConfigBuilder::new(DeviceLayout::Jbod).build();
+        let sc = BtIo::new(BtClass::S, 4, BtSubtype::Full)
+            .with_dumps(2)
+            .gflops(50.0)
+            .scenario();
+        let col = Collector::new();
+        {
+            let _g = col.install();
+            let mut machine = ClusterMachine::try_new(&spec, &config).expect("valid config");
+            let programs = sc.install(&mut machine);
+            mpisim::Runtime::default().run(
+                &mut machine,
+                &spec.placement(4),
+                programs,
+                &mut simcore::obs::NoSink,
+            );
+        }
+        let data = col.take();
+        assert_eq!(data.dropped, 0);
+        let text = to_chrome(&[(TraceMeta::default(), data)]);
+        let v: serde_json::Value = serde_json::from_str(&text).expect("valid JSON");
+        let mpi: Vec<&serde_json::Value> = v
+            .as_array()
+            .expect("array")
+            .iter()
+            .filter(|e| e["pid"] == 1)
+            .collect();
+        assert!(mpi.len() > 100, "trace captured {} MPI slices", mpi.len());
+        let lanes: std::collections::BTreeSet<u64> =
+            mpi.iter().filter_map(|e| e["tid"].as_u64()).collect();
+        assert_eq!(lanes.len(), 4);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Application characterization from traces (the PAS2P-IO substitute).
 //!
-//! [`ProfileSink`] consumes [`mpisim::TraceEvent`]s *streaming* (no event
-//! log is materialized, so multi-million-operation applications
-//! characterize in bounded memory) and produces an [`AppProfile`]:
+//! [`ProfileSink`] is an [`ObsSink`]: passed to a run, it consumes the
+//! runtime's [`ObsEvent::MpiOp`] stream *streaming* (no event log is
+//! materialized, so multi-million-operation applications characterize in
+//! bounded memory) and produces an [`AppProfile`]:
 //!
 //! * operation counts and distinct block sizes (paper Tables II/V/VIII);
 //! * detected access modes per operation type (sequential / strided /
@@ -15,8 +16,8 @@
 //!   with repetition counts as phase weights.
 
 use crate::perf_table::{AccessMode, OpType};
-use mpisim::{TraceEvent, TraceKind, TraceSink};
 use serde::{Deserialize, Serialize};
+use simcore::obs::{ObsEvent, ObsSink, TraceKind};
 use simcore::{Bandwidth, Time};
 use std::collections::{BTreeMap, HashMap};
 
@@ -279,20 +280,18 @@ impl ProfileSink {
         }
     }
 
-    fn burst_class(kind: &TraceKind) -> PhaseClass {
-        match kind {
+    /// Extends the representative rank's current burst with one op.
+    fn push_burst_event(&mut self, kind: TraceKind, start: Time, end: Time) {
+        let class = match kind {
             TraceKind::Write { .. } => PhaseClass::Write,
             TraceKind::Read { .. } => PhaseClass::Read,
             _ => PhaseClass::NonIo,
-        }
-    }
-
-    fn push_burst_event(&mut self, ev: &TraceEvent, bytes: u64) {
-        let class = Self::burst_class(&ev.kind);
-        let marker = self.marker_of_rank[ev.rank];
+        };
+        let bytes = if kind.io() { kind.bytes() } else { 0 };
+        let marker = self.marker_of_rank[self.rep_rank];
         match &mut self.cur_burst {
             Some(b) if b.class == class => {
-                b.end = ev.end;
+                b.end = end;
                 b.ops += 1;
                 b.bytes += bytes;
             }
@@ -302,8 +301,8 @@ impl ProfileSink {
                 }
                 self.cur_burst = Some(Phase {
                     class,
-                    start: ev.start,
-                    end: ev.end,
+                    start,
+                    end,
                     ops: 1,
                     bytes,
                     marker,
@@ -312,10 +311,9 @@ impl ProfileSink {
         }
     }
 
-    fn record_io(&mut self, ev: &TraceEvent, op: OpType, file: u64, offset: u64, len: u64) {
+    fn record_io(&mut self, rank: usize, dur: Time, op: OpType, file: u64, offset: u64, len: u64) {
         self.files.insert(file);
-        let dur = ev.duration();
-        self.io_time_per_rank[ev.rank] += dur;
+        self.io_time_per_rank[rank] += dur;
         match op {
             OpType::Read => {
                 self.counts.numio_read += 1;
@@ -327,20 +325,20 @@ impl ProfileSink {
             }
         }
         self.streams
-            .entry((ev.rank, file, op))
+            .entry((rank, file, op))
             .or_default()
             .observe(offset, len);
         let world = self.world;
         self.measured
             .entry((op, len))
             .or_default()
-            .add(ev.rank, world, len, dur);
-        let marker = self.marker_of_rank[ev.rank];
+            .add(rank, world, len, dur);
+        let marker = self.marker_of_rank[rank];
         if marker != u32::MAX {
             self.per_marker
                 .entry((marker, op))
                 .or_default()
-                .add(ev.rank, world, len, dur);
+                .add(rank, world, len, dur);
         }
     }
 
@@ -428,82 +426,54 @@ impl ProfileSink {
     }
 }
 
-impl TraceSink for ProfileSink {
-    fn record(&mut self, ev: TraceEvent) {
-        self.counts.exec_time = self.counts.exec_time.max(ev.end);
-        match ev.kind {
+impl ObsSink for ProfileSink {
+    fn event(&mut self, ev: &ObsEvent) {
+        let ObsEvent::MpiOp {
+            rank,
+            start,
+            end,
+            kind,
+        } = *ev
+        else {
+            return;
+        };
+        let rank = rank as usize;
+        self.counts.exec_time = self.counts.exec_time.max(end);
+        let dur = end.saturating_sub(start);
+        match kind {
             TraceKind::Write {
                 file, offset, len, ..
-            } => {
-                self.record_io(&ev, OpType::Write, file.0, offset, len);
-                if ev.rank == self.rep_rank {
-                    self.push_burst_event(&ev, len);
-                }
-            }
+            } => self.record_io(rank, dur, OpType::Write, file, offset, len),
             TraceKind::Read {
                 file, offset, len, ..
-            } => {
-                self.record_io(&ev, OpType::Read, file.0, offset, len);
-                if ev.rank == self.rep_rank {
-                    self.push_burst_event(&ev, len);
-                }
-            }
-            TraceKind::Open { .. } => {
-                self.counts.numio_open += 1;
-                if ev.rank == self.rep_rank {
-                    self.push_burst_event(&ev, 0);
-                }
-            }
-            TraceKind::Close { .. } => {
-                self.counts.numio_close += 1;
-                if ev.rank == self.rep_rank {
-                    self.push_burst_event(&ev, 0);
-                }
-            }
-            TraceKind::Sync { .. } => {
-                self.counts.numio_sync += 1;
-                if ev.rank == self.rep_rank {
-                    self.push_burst_event(&ev, 0);
-                }
-            }
-            TraceKind::Meta { .. } => {
-                if ev.rank == self.rep_rank {
-                    self.push_burst_event(&ev, 0);
-                }
-            }
+            } => self.record_io(rank, dur, OpType::Read, file, offset, len),
+            TraceKind::Open { .. } => self.counts.numio_open += 1,
+            TraceKind::Close { .. } => self.counts.numio_close += 1,
+            TraceKind::Sync { .. } => self.counts.numio_sync += 1,
             TraceKind::Marker(id) => {
-                self.marker_of_rank[ev.rank] = id;
-                if ev.rank == self.rep_rank {
+                self.marker_of_rank[rank] = id;
+                if rank == self.rep_rank {
                     // A marker always breaks the current burst.
                     if let Some(b) = self.cur_burst.take() {
                         self.bursts.push(b);
                     }
                 }
+                return;
             }
-            TraceKind::Compute
-            | TraceKind::Send { .. }
-            | TraceKind::Recv { .. }
-            | TraceKind::Barrier
-            | TraceKind::Bcast { .. }
-            | TraceKind::Allreduce { .. }
-            | TraceKind::Wait => {
-                if ev.rank == self.rep_rank {
-                    self.push_burst_event(&ev, 0);
-                }
-            }
+            _ => {}
         }
-        debug_assert!(ev.rank < self.world);
+        if rank == self.rep_rank {
+            self.push_burst_event(kind, start, end);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fs::FileId;
-    use mpisim::TraceEvent;
 
-    fn ev(rank: usize, t0: u64, t1: u64, kind: TraceKind) -> TraceEvent {
-        TraceEvent {
+    fn ev(rank: u32, t0: u64, t1: u64, kind: TraceKind) -> ObsEvent {
+        ObsEvent::MpiOp {
             rank,
             start: Time::from_micros(t0),
             end: Time::from_micros(t1),
@@ -511,13 +481,13 @@ mod tests {
         }
     }
 
-    fn write(rank: usize, t0: u64, t1: u64, offset: u64, len: u64) -> TraceEvent {
+    fn write(rank: u32, t0: u64, t1: u64, offset: u64, len: u64) -> ObsEvent {
         ev(
             rank,
             t0,
             t1,
             TraceKind::Write {
-                file: FileId(1),
+                file: 1,
                 offset,
                 len,
                 collective: false,
@@ -525,13 +495,13 @@ mod tests {
         )
     }
 
-    fn read(rank: usize, t0: u64, t1: u64, offset: u64, len: u64) -> TraceEvent {
+    fn read(rank: u32, t0: u64, t1: u64, offset: u64, len: u64) -> ObsEvent {
         ev(
             rank,
             t0,
             t1,
             TraceKind::Read {
-                file: FileId(1),
+                file: 1,
                 offset,
                 len,
                 collective: false,
@@ -542,20 +512,20 @@ mod tests {
     #[test]
     fn counts_and_sizes() {
         let mut sink = ProfileSink::new(2);
-        sink.record(ev(
+        sink.event(&ev(
             0,
             0,
             1,
             TraceKind::Open {
-                file: FileId(1),
+                file: 1,
                 create: true,
             },
         ));
-        sink.record(write(0, 1, 2, 0, 100));
-        sink.record(write(0, 2, 3, 100, 100));
-        sink.record(write(1, 1, 2, 200, 50));
-        sink.record(read(0, 3, 5, 0, 100));
-        sink.record(ev(0, 5, 6, TraceKind::Close { file: FileId(1) }));
+        sink.event(&write(0, 1, 2, 0, 100));
+        sink.event(&write(0, 2, 3, 100, 100));
+        sink.event(&write(1, 1, 2, 200, 50));
+        sink.event(&read(0, 3, 5, 0, 100));
+        sink.event(&ev(0, 5, 6, TraceKind::Close { file: 1 }));
         let p = sink.finish();
         assert_eq!(p.numio_write, 3);
         assert_eq!(p.numio_read, 1);
@@ -573,7 +543,7 @@ mod tests {
     fn sequential_mode_detection() {
         let mut sink = ProfileSink::new(1);
         for i in 0..10u64 {
-            sink.record(write(0, i, i + 1, i * 100, 100));
+            sink.event(&write(0, i, i + 1, i * 100, 100));
         }
         let p = sink.finish();
         assert_eq!(p.mode_write, AccessMode::Sequential);
@@ -583,7 +553,7 @@ mod tests {
     fn strided_mode_detection() {
         let mut sink = ProfileSink::new(1);
         for i in 0..10u64 {
-            sink.record(write(0, i, i + 1, i * 1000, 100));
+            sink.event(&write(0, i, i + 1, i * 1000, 100));
         }
         let p = sink.finish();
         assert_eq!(p.mode_write, AccessMode::Strided);
@@ -594,7 +564,7 @@ mod tests {
         let offs = [0u64, 5000, 200, 9000, 100, 7000, 3000, 8000];
         let mut sink = ProfileSink::new(1);
         for (i, &o) in offs.iter().enumerate() {
-            sink.record(read(0, i as u64, i as u64 + 1, o, 10));
+            sink.event(&read(0, i as u64, i as u64 + 1, o, 10));
         }
         let p = sink.finish();
         assert_eq!(p.mode_read, AccessMode::Random);
@@ -604,8 +574,8 @@ mod tests {
     fn measured_rates_per_block_size() {
         let mut sink = ProfileSink::new(1);
         // Two 1 MiB writes, each taking 10 ms → 2 MiB / 20 ms = 100 MiB/s.
-        sink.record(write(0, 0, 10_000, 0, 1 << 20));
-        sink.record(write(0, 10_000, 20_000, 1 << 20, 1 << 20));
+        sink.event(&write(0, 0, 10_000, 0, 1 << 20));
+        sink.event(&write(0, 10_000, 20_000, 1 << 20, 1 << 20));
         let p = sink.finish();
         assert_eq!(p.measured.len(), 1);
         let m = &p.measured[0];
@@ -620,8 +590,8 @@ mod tests {
     #[test]
     fn io_time_is_slowest_rank() {
         let mut sink = ProfileSink::new(2);
-        sink.record(write(0, 0, 1_000, 0, 10));
-        sink.record(write(1, 0, 5_000, 0, 10));
+        sink.event(&write(0, 0, 1_000, 0, 10));
+        sink.event(&write(1, 0, 5_000, 0, 10));
         let p = sink.finish();
         assert_eq!(p.io_time, Time::from_millis(5));
         assert_eq!(p.exec_time, Time::from_millis(5));
@@ -630,10 +600,10 @@ mod tests {
     #[test]
     fn bursts_separate_io_from_compute() {
         let mut sink = ProfileSink::new(1);
-        sink.record(write(0, 0, 1, 0, 10));
-        sink.record(write(0, 1, 2, 10, 10));
-        sink.record(ev(0, 2, 10, TraceKind::Compute));
-        sink.record(read(0, 10, 11, 0, 10));
+        sink.event(&write(0, 0, 1, 0, 10));
+        sink.event(&write(0, 1, 2, 10, 10));
+        sink.event(&ev(0, 2, 10, TraceKind::Compute));
+        sink.event(&read(0, 10, 11, 0, 10));
         let p = sink.finish();
         let classes: Vec<PhaseClass> = p.phases.bursts.iter().map(|b| b.class).collect();
         assert_eq!(
@@ -650,8 +620,8 @@ mod tests {
         let mut sink = ProfileSink::new(1);
         for rep in 0..5u64 {
             let t = rep * 100;
-            sink.record(write(0, t, t + 1, rep * 1000, 512));
-            sink.record(ev(0, t + 1, t + 50, TraceKind::Compute));
+            sink.event(&write(0, t, t + 1, rep * 1000, 512));
+            sink.event(&ev(0, t + 1, t + 50, TraceKind::Compute));
         }
         let p = sink.finish();
         let w = p.phases.signature_weights();
@@ -663,10 +633,10 @@ mod tests {
     #[test]
     fn markers_segment_rates() {
         let mut sink = ProfileSink::new(1);
-        sink.record(ev(0, 0, 0, TraceKind::Marker(7)));
-        sink.record(write(0, 0, 1000, 0, 1 << 20));
-        sink.record(ev(0, 1000, 1000, TraceKind::Marker(8)));
-        sink.record(read(0, 1000, 3000, 0, 1 << 20));
+        sink.event(&ev(0, 0, 0, TraceKind::Marker(7)));
+        sink.event(&write(0, 0, 1000, 0, 1 << 20));
+        sink.event(&ev(0, 1000, 1000, TraceKind::Marker(8)));
+        sink.event(&read(0, 1000, 3000, 0, 1 << 20));
         let p = sink.finish();
         assert_eq!(p.per_marker.len(), 2);
         assert_eq!(p.per_marker[0].marker, 7);

@@ -12,50 +12,10 @@
 //! backend-chosen context type through each call.
 
 use crate::file::FileId;
-use serde::{Deserialize, Serialize};
 use simcore::Time;
 
-/// One mdtest-style metadata verb.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum MetaVerb {
-    /// Create an (empty) file in a directory.
-    Create,
-    /// Look up a file's attributes.
-    Stat,
-    /// Remove a file from a directory.
-    Unlink,
-    /// Create a directory.
-    Mkdir,
-    /// List a directory.
-    Readdir,
-}
-
-impl MetaVerb {
-    /// All verbs, in mdtest phase order.
-    pub const ALL: [MetaVerb; 5] = [
-        MetaVerb::Mkdir,
-        MetaVerb::Create,
-        MetaVerb::Stat,
-        MetaVerb::Unlink,
-        MetaVerb::Readdir,
-    ];
-
-    /// Stable label (used in traces and rendered metrics).
-    pub fn label(self) -> &'static str {
-        match self {
-            MetaVerb::Create => "create",
-            MetaVerb::Stat => "stat",
-            MetaVerb::Unlink => "unlink",
-            MetaVerb::Mkdir => "mkdir",
-            MetaVerb::Readdir => "readdir",
-        }
-    }
-
-    /// Whether the verb mutates the namespace (vs. a pure lookup).
-    pub fn mutates(self) -> bool {
-        matches!(self, MetaVerb::Create | MetaVerb::Unlink | MetaVerb::Mkdir)
-    }
-}
+/// The verb lives with the trace event that reports it.
+pub use simcore::obs::MetaVerb;
 
 /// Namespace metadata operations, implemented by every filesystem model.
 ///

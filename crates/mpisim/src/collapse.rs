@@ -24,19 +24,10 @@
 use crate::machine::Machine;
 use crate::op::{MpiOp, OpStream, Rank, StreamSignature};
 use crate::runtime::{RankStats, RunStats, RuntimeParams};
-use crate::trace::{TraceEvent, TraceKind, TraceSink};
 use netsim::NodeId;
+use simcore::obs::{ObsEvent, ObsSink};
 use simcore::{Abort, Time, Watchdog};
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static COLLAPSED_RUNS: AtomicU64 = AtomicU64::new(0);
-
-/// Number of runs that took the collapsed path since process start.
-/// Diagnostic: tests and the bench harness assert engagement with it.
-pub fn collapsed_run_count() -> u64 {
-    COLLAPSED_RUNS.load(Ordering::Relaxed)
-}
 
 /// Decides whether a run may execute collapsed. Returns the cohorts
 /// (each a list of ranks sharing one signature and node class, lowest
@@ -76,8 +67,8 @@ struct CohortExec {
     ranks: Vec<Rank>,
     rep: Box<dyn OpStream>,
     /// Streams of `ranks[1..]`, stepped in lockstep for verification and
-    /// event emission; empty when the sink and observers need no member
-    /// events (the O(1)-per-member fast path).
+    /// event emission; empty when nobody observes the run (the
+    /// O(1)-per-member fast path).
     members: Vec<Box<dyn OpStream>>,
     node: NodeId,
     t: Time,
@@ -87,19 +78,18 @@ struct CohortExec {
 }
 
 /// Executes the planned `cohorts`. Must only be called with the output of
-/// [`plan`] for the same machine/placement/programs.
+/// [`plan`] for the same machine/placement/programs. `sink` is `None`
+/// when nobody observes the run; members are then never stepped.
 pub(crate) fn run(
     params: &RuntimeParams,
     machine: &mut dyn Machine,
     placement: &[NodeId],
     programs: Vec<Box<dyn OpStream>>,
     cohorts: Vec<Vec<Rank>>,
-    sink: &mut dyn TraceSink,
+    mut sink: Option<&mut dyn ObsSink>,
     mut watchdog: Option<Watchdog>,
 ) -> Result<RunStats, Abort> {
-    COLLAPSED_RUNS.fetch_add(1, Ordering::Relaxed);
     let world = programs.len();
-    let emit_members = sink.wants_cohort_members() || simcore::obs::enabled();
     let mut slots: Vec<Option<Box<dyn OpStream>>> = programs.into_iter().map(Some).collect();
     let mut execs: Vec<CohortExec> = cohorts
         .into_iter()
@@ -108,7 +98,7 @@ pub(crate) fn run(
                 slots[r].take().expect("each rank in exactly one cohort")
             };
             let rep = take(&mut slots, ranks[0]);
-            let members = if emit_members {
+            let members = if sink.is_some() {
                 ranks[1..].iter().map(|&r| take(&mut slots, r)).collect()
             } else {
                 Vec::new()
@@ -129,7 +119,7 @@ pub(crate) fn run(
     loop {
         for c in execs.iter_mut() {
             if !c.done && c.barrier_start.is_none() {
-                step_cohort(machine, sink, &mut watchdog, c, emit_members)?;
+                step_cohort(machine, &mut sink, &mut watchdog, c)?;
             }
         }
         if execs.iter().all(|c| c.done) {
@@ -149,9 +139,9 @@ pub(crate) fn run(
             let start = c.barrier_start.take().expect("all cohorts parked");
             c.stats.comm_time += release - start;
             c.t = release;
-            if emit_members {
+            if let Some(sink) = sink.as_deref_mut() {
                 for &r in &c.ranks {
-                    emit(sink, r, start, release, TraceKind::Barrier);
+                    emit(sink, r, start, release, MpiOp::Barrier);
                 }
             }
         }
@@ -160,6 +150,7 @@ pub(crate) fn run(
     let mut stats = RunStats {
         wall_time: Time::ZERO,
         per_rank: Vec::new(),
+        collapsed: true,
     };
     let mut per: Vec<Option<RankStats>> = Vec::new();
     per.resize_with(world, || None);
@@ -182,10 +173,9 @@ pub(crate) fn run(
 /// mirroring the granular executor's per-op arithmetic exactly.
 fn step_cohort(
     machine: &mut dyn Machine,
-    sink: &mut dyn TraceSink,
+    sink: &mut Option<&mut dyn ObsSink>,
     watchdog: &mut Option<Watchdog>,
     c: &mut CohortExec,
-    emit_members: bool,
 ) -> Result<(), Abort> {
     loop {
         if let Some(w) = watchdog.as_mut() {
@@ -207,13 +197,12 @@ fn step_cohort(
             }
         };
         let start = c.t;
-        let kind = match op {
+        match op {
             MpiOp::Compute(d) => {
                 c.t += d;
                 c.stats.compute_time += d;
-                TraceKind::Compute
             }
-            MpiOp::Marker(id) => TraceKind::Marker(id),
+            MpiOp::Marker(_) => {}
             MpiOp::Barrier => {
                 c.barrier_start = Some(start);
                 // Consume the members' matching barriers so lockstep
@@ -232,26 +221,22 @@ fn step_cohort(
                 let end = machine.io_open(start, c.node, file, create);
                 c.stats.meta_time += end - start;
                 c.t = end;
-                TraceKind::Open { file, create }
             }
             MpiOp::FileClose { file } => {
                 let end = machine.io_close(start, c.node, file);
                 c.stats.meta_time += end - start;
                 c.t = end;
-                TraceKind::Close { file }
             }
             MpiOp::FileSync { file } => {
                 let end = machine.io_sync(start, c.node, file);
                 c.stats.meta_time += end - start;
                 c.t = end;
-                TraceKind::Sync { file }
             }
             MpiOp::Meta { verb, dir, file } => {
                 let end = machine.io_meta(start, c.node, verb, dir, file);
                 c.stats.meta_time += end - start;
                 c.stats.meta_ops += 1;
                 c.t = end;
-                TraceKind::Meta { verb, dir, file }
             }
             MpiOp::WriteAt { file, offset, len } => {
                 let end = machine.io_write(start, c.node, file, offset, len);
@@ -259,12 +244,6 @@ fn step_cohort(
                 c.stats.bytes_written += len;
                 c.stats.io_ops += 1;
                 c.t = end;
-                TraceKind::Write {
-                    file,
-                    offset,
-                    len,
-                    collective: false,
-                }
             }
             MpiOp::ReadAt { file, offset, len } => {
                 let end = machine.io_read(start, c.node, file, offset, len);
@@ -272,105 +251,85 @@ fn step_cohort(
                 c.stats.bytes_read += len;
                 c.stats.io_ops += 1;
                 c.t = end;
-                TraceKind::Read {
-                    file,
-                    offset,
-                    len,
-                    collective: false,
-                }
             }
             other => panic!("collapsed cohort signature violated: non-collapsible op {other:?}"),
-        };
-        let end = c.t;
-        if emit_members {
-            emit(sink, c.ranks[0], start, end, kind);
-            for i in 0..c.members.len() {
-                let mop = c.members[i].next_op();
-                let mkind = member_kind(op, mop, c.ranks[0], c.ranks[1 + i]);
-                emit(sink, c.ranks[1 + i], start, end, mkind);
+        }
+        if let Some(sink) = sink.as_deref_mut() {
+            let end = c.t;
+            emit(sink, c.ranks[0], start, end, op);
+            for (m, &r) in c.members.iter_mut().zip(&c.ranks[1..]) {
+                let mop = verify_member(op, m.next_op(), c.ranks[0], r);
+                emit(sink, r, start, end, mop);
             }
         }
     }
 }
 
-/// Verifies a member's op against the representative's (equal modulo
-/// rank-indexed offsets / metadata targets) and returns the member's own
-/// trace kind — members trace their true offsets with the
-/// representative's timing.
-fn member_kind(rep: MpiOp, member: Option<MpiOp>, rep_rank: Rank, member_rank: Rank) -> TraceKind {
-    let lied = |m: &dyn std::fmt::Debug| -> ! {
-        panic!(
+/// Verifies a member's op against the representative's: equal modulo
+/// rank-indexed offsets and metadata targets. Returns the member's own op,
+/// so members trace their true offsets with the representative's timing.
+fn verify_member(rep: MpiOp, member: Option<MpiOp>, rep_rank: Rank, member_rank: Rank) -> MpiOp {
+    match member {
+        Some(m) if shape(m) == shape(rep) => m,
+        m => panic!(
             "collapsed cohort signature violated: representative rank {rep_rank} \
              ran {rep:?} while member rank {member_rank} ran {m:?}"
-        )
-    };
-    let Some(m) = member else {
-        lied(&"<end of program>")
-    };
-    use MpiOp::*;
-    match (rep, m) {
-        (Compute(a), Compute(b)) if a == b => TraceKind::Compute,
-        (Marker(a), Marker(b)) if a == b => TraceKind::Marker(a),
-        (
-            FileOpen { file, create },
-            FileOpen {
-                file: f2,
-                create: c2,
-            },
-        ) if file == f2 && create == c2 => TraceKind::Open { file, create },
-        (FileClose { file }, FileClose { file: f2 }) if file == f2 => TraceKind::Close { file },
-        (FileSync { file }, FileSync { file: f2 }) if file == f2 => TraceKind::Sync { file },
-        (
-            Meta { verb, dir, .. },
-            Meta {
-                verb: v2,
-                dir: d2,
-                file,
-            },
-        ) if verb == v2 && dir == d2 => TraceKind::Meta { verb, dir, file },
-        (
-            WriteAt { file, len, .. },
-            WriteAt {
-                file: f2,
-                offset,
-                len: l2,
-            },
-        ) if file == f2 && len == l2 => TraceKind::Write {
-            file,
-            offset,
-            len,
-            collective: false,
-        },
-        (
-            ReadAt { file, len, .. },
-            ReadAt {
-                file: f2,
-                offset,
-                len: l2,
-            },
-        ) if file == f2 && len == l2 => TraceKind::Read {
-            file,
-            offset,
-            len,
-            collective: false,
-        },
-        (_, m) => lied(&m),
+        ),
     }
 }
 
-fn emit(sink: &mut dyn TraceSink, rank: Rank, start: Time, end: Time, kind: TraceKind) {
-    simcore::obs::emit(|| simcore::obs::ObsEvent::MpiOp {
-        rank,
-        label: kind.label(),
-        start,
-        end,
-        bytes: kind.payload_bytes(),
-        io: kind.is_io_data(),
-    });
-    sink.record(TraceEvent {
-        rank,
+/// `op` with its rank-indexed fields cleared.
+fn shape(op: MpiOp) -> MpiOp {
+    match op {
+        MpiOp::WriteAt { file, len, .. } => MpiOp::WriteAt {
+            file,
+            len,
+            offset: 0,
+        },
+        MpiOp::ReadAt { file, len, .. } => MpiOp::ReadAt {
+            file,
+            len,
+            offset: 0,
+        },
+        MpiOp::Meta { verb, dir, .. } => MpiOp::Meta {
+            verb,
+            dir,
+            file: dir,
+        },
+        other => other,
+    }
+}
+
+/// Reports `op`'s completion on `rank` as one event, to the run's sink
+/// and to the thread's observer.
+fn emit(sink: &mut dyn ObsSink, rank: Rank, start: Time, end: Time, op: MpiOp) {
+    let kind = op.trace_kind().expect("collapsible ops are traced");
+    let ev = ObsEvent::MpiOp {
+        rank: rank as u32,
         start,
         end,
         kind,
-    });
+    };
+    sink.event(&ev);
+    simcore::obs::emit(|| ev);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::machine::FixedMachine;
+
+    // The chaos plan is process-wide, so this gate is tested here, in a
+    // binary apart from the integration tests that assert collapse engages.
+    #[test]
+    fn chaos_injection_disables_collapse() {
+        let machine = FixedMachine::new(2);
+        let sig = Some(StreamSignature::from_shape("twins", 1));
+        assert!(plan(&machine, &[0, 1], &[sig, sig]).is_some());
+        let _guard = simcore::chaos::install(simcore::chaos::HostFaultPlan::none());
+        assert!(
+            plan(&machine, &[0, 1], &[sig, sig]).is_none(),
+            "active chaos must force granular execution"
+        );
+    }
 }

@@ -9,10 +9,12 @@
 //! aggregators which issue large contiguous file accesses — the `full`
 //! subtype).
 //!
-//! Every primitive is reported to a [`trace::TraceSink`], which is exactly
-//! the information the paper's PAS2P-IO tracing library captures via
-//! `LD_PRELOAD`; the methodology crate builds application characterizations
-//! (paper Tables II/V/VIII) and phase diagrams (Figs. 8/16) from it.
+//! Every primitive is reported as one [`simcore::obs::ObsEvent::MpiOp`]
+//! to the run's [`simcore::obs::ObsSink`] and to the thread's installed
+//! observer. That is exactly the information the paper's PAS2P-IO
+//! tracing library captures via `LD_PRELOAD`; the methodology crate
+//! builds application characterizations (paper Tables II/V/VIII) and
+//! phase diagrams (Figs. 8/16) from it.
 //!
 //! Programs are consumed through [`op::OpStream`], so workloads with
 //! millions of operations (NAS BT-IO *simple* issues 4.2 × 10⁶ writes at
@@ -22,13 +24,10 @@ pub mod collapse;
 pub mod machine;
 pub mod op;
 pub mod runtime;
-pub mod trace;
 
-pub use collapse::collapsed_run_count;
 pub use machine::Machine;
 pub use op::{
     ChainStream, ChunkedStream, GenStream, MpiOp, OpStream, SignedStream, StreamSignature,
     VecStream,
 };
 pub use runtime::{ProgramFault, RunError, RunStats, Runtime, RuntimeParams};
-pub use trace::{NullSink, TraceEvent, TraceKind, TraceSink, VecSink};

@@ -1,6 +1,7 @@
 //! MPI operation programs.
 
 use fs::{FileId, MetaVerb};
+use simcore::obs::TraceKind;
 use simcore::Time;
 
 /// A rank index within `MPI_COMM_WORLD`.
@@ -133,6 +134,57 @@ pub enum MpiOp {
     /// A named section marker recorded in the trace (used by workloads to
     /// label phases like MADbench2's S/W/C functions). No simulated cost.
     Marker(u32),
+}
+
+impl MpiOp {
+    /// How the primitive is traced, or `None` for [`MpiOp::Irecv`]: a
+    /// posted receive is reported by the [`MpiOp::WaitAll`] completing it.
+    pub(crate) fn trace_kind(self) -> Option<TraceKind> {
+        Some(match self {
+            MpiOp::Compute(_) => TraceKind::Compute,
+            MpiOp::Send { dst, bytes, .. } | MpiOp::Isend { dst, bytes, .. } => TraceKind::Send {
+                dst: dst as u32,
+                bytes,
+            },
+            MpiOp::Recv { src, .. } => TraceKind::Recv { src: src as u32 },
+            MpiOp::Irecv { .. } => return None,
+            MpiOp::WaitAll => TraceKind::Wait,
+            MpiOp::Barrier => TraceKind::Barrier,
+            MpiOp::Bcast { root, bytes } => TraceKind::Bcast {
+                root: root as u32,
+                bytes,
+            },
+            MpiOp::Allreduce { bytes } => TraceKind::Allreduce { bytes },
+            MpiOp::FileOpen { file, create } => TraceKind::Open {
+                file: file.0,
+                create,
+            },
+            MpiOp::FileClose { file } => TraceKind::Close { file: file.0 },
+            MpiOp::FileSync { file } => TraceKind::Sync { file: file.0 },
+            MpiOp::WriteAt { file, offset, len } | MpiOp::WriteAtAll { file, offset, len } => {
+                TraceKind::Write {
+                    file: file.0,
+                    offset,
+                    len,
+                    collective: matches!(self, MpiOp::WriteAtAll { .. }),
+                }
+            }
+            MpiOp::ReadAt { file, offset, len } | MpiOp::ReadAtAll { file, offset, len } => {
+                TraceKind::Read {
+                    file: file.0,
+                    offset,
+                    len,
+                    collective: matches!(self, MpiOp::ReadAtAll { .. }),
+                }
+            }
+            MpiOp::Meta { verb, dir, file } => TraceKind::Meta {
+                verb,
+                dir: dir.0,
+                file: file.0,
+            },
+            MpiOp::Marker(id) => TraceKind::Marker(id),
+        })
+    }
 }
 
 /// A symmetry fingerprint asserted by a workload generator over a rank

@@ -2,9 +2,9 @@
 
 use crate::machine::Machine;
 use crate::op::{MpiOp, OpStream, Rank};
-use crate::trace::{TraceEvent, TraceKind, TraceSink};
 use fs::FileId;
 use netsim::NodeId;
+use simcore::obs::{ObsEvent, ObsSink};
 use simcore::{Abort, EventQueue, Time, Watchdog};
 use std::collections::{HashMap, VecDeque};
 
@@ -65,6 +65,10 @@ pub struct RunStats {
     pub wall_time: Time,
     /// Per-rank statistics.
     pub per_rank: Vec<RankStats>,
+    /// Whether the run executed on the collapsed rank-group path (see
+    /// [`crate::collapse`]). Telemetry only: collapse changes speed,
+    /// never `wall_time` or `per_rank`.
+    pub collapsed: bool,
 }
 
 impl RunStats {
@@ -187,48 +191,14 @@ impl From<Abort> for RunError {
     }
 }
 
-/// What a parked rank is waiting for (to finalize its trace on resume).
-#[derive(Clone, Copy, Debug)]
-enum ResumeAction {
-    Recv {
-        src: Rank,
-        start: Time,
-    },
-    WaitAll {
-        start: Time,
-    },
-    Barrier {
-        start: Time,
-    },
-    Bcast {
-        root: Rank,
-        bytes: u64,
-        start: Time,
-    },
-    Allreduce {
-        bytes: u64,
-        start: Time,
-    },
-    CollWrite {
-        file: FileId,
-        offset: u64,
-        len: u64,
-        start: Time,
-    },
-    CollRead {
-        file: FileId,
-        offset: u64,
-        len: u64,
-        start: Time,
-    },
-}
-
 struct RankCtx {
     stream: Box<dyn OpStream>,
     node: NodeId,
     t: Time,
     stats: RankStats,
-    resume: Option<ResumeAction>,
+    /// The blocking op the rank is parked in and when it began; it is
+    /// accounted and traced when the rank resumes.
+    resume: Option<(MpiOp, Time)>,
     done: bool,
     /// Latest completion among resolved nonblocking requests.
     nb_complete: Time,
@@ -275,13 +245,14 @@ impl Runtime {
 
     /// Executes `programs` (one per rank) placed on `placement`
     /// (rank → node) against `machine`, reporting every primitive to
-    /// `sink`. Returns per-rank statistics.
+    /// `sink` and to the thread's installed observer (see
+    /// [`simcore::obs`]). Returns per-rank statistics.
     pub fn run(
         &self,
         machine: &mut dyn Machine,
         placement: &[NodeId],
         programs: Vec<Box<dyn OpStream>>,
-        sink: &mut dyn TraceSink,
+        sink: &mut dyn ObsSink,
     ) -> RunStats {
         match self.run_supervised(machine, placement, programs, sink, None) {
             Ok(stats) => stats,
@@ -307,7 +278,7 @@ impl Runtime {
         machine: &mut dyn Machine,
         placement: &[NodeId],
         programs: Vec<Box<dyn OpStream>>,
-        sink: &mut dyn TraceSink,
+        sink: &mut dyn ObsSink,
         watchdog: Option<Watchdog>,
     ) -> Result<RunStats, RunError> {
         if placement.len() != programs.len() {
@@ -325,6 +296,8 @@ impl Runtime {
                 }));
             }
         }
+        // The one question put to the sinks: does anyone observe this run?
+        let observed = sink.observes() || simcore::obs::enabled();
         if self.collapse {
             let signatures: Vec<_> = programs.iter().map(|p| p.signature()).collect();
             if let Some(cohorts) = crate::collapse::plan(&*machine, placement, &signatures) {
@@ -336,7 +309,7 @@ impl Runtime {
                     placement,
                     programs,
                     cohorts,
-                    sink,
+                    observed.then_some(sink),
                     watchdog,
                 )
                 .map_err(RunError::Aborted);
@@ -348,6 +321,7 @@ impl Runtime {
             machine,
             placement,
             sink,
+            observed,
             world,
             ranks: programs
                 .into_iter()
@@ -401,6 +375,7 @@ impl Runtime {
         let mut stats = RunStats {
             wall_time: Time::ZERO,
             per_rank: Vec::with_capacity(world),
+            collapsed: false,
         };
         for ctx in &mut exec.ranks {
             ctx.stats.end = ctx.t;
@@ -415,7 +390,9 @@ struct Exec<'a> {
     params: RuntimeParams,
     machine: &'a mut dyn Machine,
     placement: &'a [NodeId],
-    sink: &'a mut dyn TraceSink,
+    sink: &'a mut dyn ObsSink,
+    /// Whether any sink observes the run; `false` skips event building.
+    observed: bool,
     world: usize,
     ranks: Vec<RankCtx>,
     queue: EventQueue<Rank>,
@@ -465,98 +442,49 @@ impl Exec<'_> {
         true
     }
 
-    fn emit(&mut self, rank: Rank, start: Time, end: Time, kind: TraceKind) {
-        simcore::obs::emit(|| simcore::obs::ObsEvent::MpiOp {
-            rank,
-            label: kind.label(),
-            start,
-            end,
-            bytes: kind.payload_bytes(),
-            io: kind.is_io_data(),
-        });
-        self.sink.record(TraceEvent {
-            rank,
+    /// Reports `op`'s completion on `rank` as one event, to the run's sink
+    /// and to the thread's observer.
+    fn emit(&mut self, rank: Rank, start: Time, end: Time, op: MpiOp) {
+        if !self.observed {
+            return;
+        }
+        let Some(kind) = op.trace_kind() else { return };
+        let ev = ObsEvent::MpiOp {
+            rank: rank as u32,
             start,
             end,
             kind,
-        });
+        };
+        self.sink.event(&ev);
+        simcore::obs::emit(|| ev);
     }
 
     /// Wakes `rank` at `t`, finalizing whatever it was parked on, then
     /// continues stepping it.
     fn resume(&mut self, rank: Rank, t: Time) {
-        {
-            let action = self.ranks[rank].resume.take();
-            let ctx = &mut self.ranks[rank];
-            ctx.t = ctx.t.max(t);
-            if let Some(action) = action {
-                let end = ctx.t;
-                match action {
-                    ResumeAction::Recv { src, start } => {
-                        ctx.stats.comm_time += end - start;
-                        self.emit(rank, start, end, TraceKind::Recv { src });
-                    }
-                    ResumeAction::WaitAll { start } => {
-                        ctx.stats.comm_time += end - start;
-                        ctx.nb_complete = Time::ZERO;
-                        self.emit(rank, start, end, TraceKind::Wait);
-                    }
-                    ResumeAction::Barrier { start } => {
-                        ctx.stats.comm_time += end - start;
-                        self.emit(rank, start, end, TraceKind::Barrier);
-                    }
-                    ResumeAction::Bcast { root, bytes, start } => {
-                        ctx.stats.comm_time += end - start;
-                        self.emit(rank, start, end, TraceKind::Bcast { root, bytes });
-                    }
-                    ResumeAction::Allreduce { bytes, start } => {
-                        ctx.stats.comm_time += end - start;
-                        self.emit(rank, start, end, TraceKind::Allreduce { bytes });
-                    }
-                    ResumeAction::CollWrite {
-                        file,
-                        offset,
-                        len,
-                        start,
-                    } => {
-                        ctx.stats.io_time += end - start;
-                        ctx.stats.bytes_written += len;
-                        ctx.stats.io_ops += 1;
-                        self.emit(
-                            rank,
-                            start,
-                            end,
-                            TraceKind::Write {
-                                file,
-                                offset,
-                                len,
-                                collective: true,
-                            },
-                        );
-                    }
-                    ResumeAction::CollRead {
-                        file,
-                        offset,
-                        len,
-                        start,
-                    } => {
-                        ctx.stats.io_time += end - start;
-                        ctx.stats.bytes_read += len;
-                        ctx.stats.io_ops += 1;
-                        self.emit(
-                            rank,
-                            start,
-                            end,
-                            TraceKind::Read {
-                                file,
-                                offset,
-                                len,
-                                collective: true,
-                            },
-                        );
-                    }
+        let ctx = &mut self.ranks[rank];
+        ctx.t = ctx.t.max(t);
+        if let Some((op, start)) = ctx.resume.take() {
+            let end = ctx.t;
+            match op {
+                MpiOp::WriteAtAll { len, .. } => {
+                    ctx.stats.io_time += end - start;
+                    ctx.stats.bytes_written += len;
+                    ctx.stats.io_ops += 1;
                 }
+                MpiOp::ReadAtAll { len, .. } => {
+                    ctx.stats.io_time += end - start;
+                    ctx.stats.bytes_read += len;
+                    ctx.stats.io_ops += 1;
+                }
+                MpiOp::WaitAll => {
+                    ctx.stats.comm_time += end - start;
+                    ctx.nb_complete = Time::ZERO;
+                }
+                // Recv, Barrier, Bcast, Allreduce.
+                _ => ctx.stats.comm_time += end - start,
             }
+            self.emit(rank, start, end, op);
         }
         self.step(rank);
     }
@@ -604,11 +532,8 @@ impl Exec<'_> {
                 let ctx = &mut self.ranks[rank];
                 ctx.t += d;
                 ctx.stats.compute_time += d;
-                self.emit(rank, start, start + d, TraceKind::Compute);
             }
-            MpiOp::Marker(id) => {
-                self.emit(rank, start, start, TraceKind::Marker(id));
-            }
+            MpiOp::Marker(_) => {}
             MpiOp::Send { dst, bytes, tag } => {
                 if dst >= self.world {
                     return self.fail(ProgramFault::UnknownRank {
@@ -631,7 +556,6 @@ impl Exec<'_> {
                     ctx.t = t_cont;
                     ctx.stats.comm_time += t_cont - start;
                 }
-                self.emit(rank, start, t_cont, TraceKind::Send { dst, bytes });
                 self.deliver(rank, dst, tag, delivery, bytes);
             }
             MpiOp::Isend { dst, bytes, tag } => {
@@ -655,7 +579,6 @@ impl Exec<'_> {
                     ctx.stats.comm_time += t_cont - start;
                     ctx.nb_complete = ctx.nb_complete.max(delivery);
                 }
-                self.emit(rank, start, t_cont, TraceKind::Send { dst, bytes });
                 self.deliver(rank, dst, tag, delivery, bytes);
             }
             MpiOp::Irecv { src, tag } => {
@@ -682,17 +605,13 @@ impl Exec<'_> {
             }
             MpiOp::WaitAll => {
                 if self.ranks[rank].nb_pending == 0 {
-                    let end = {
-                        let ctx = &mut self.ranks[rank];
-                        let end = ctx.t.max(ctx.nb_complete) + self.params.recv_overhead;
-                        ctx.stats.comm_time += end - start;
-                        ctx.t = end;
-                        ctx.nb_complete = Time::ZERO;
-                        end
-                    };
-                    self.emit(rank, start, end, TraceKind::Wait);
+                    let ctx = &mut self.ranks[rank];
+                    let end = ctx.t.max(ctx.nb_complete) + self.params.recv_overhead;
+                    ctx.stats.comm_time += end - start;
+                    ctx.t = end;
+                    ctx.nb_complete = Time::ZERO;
                 } else {
-                    self.ranks[rank].resume = Some(ResumeAction::WaitAll { start });
+                    self.ranks[rank].resume = Some((op, start));
                     return false;
                 }
             }
@@ -713,16 +632,15 @@ impl Exec<'_> {
                     let ctx = &mut self.ranks[rank];
                     ctx.t = end;
                     ctx.stats.comm_time += end - start;
-                    self.emit(rank, start, end, TraceKind::Recv { src });
                 } else {
                     self.recvs.entry(key).or_default().push_back(rank);
-                    self.ranks[rank].resume = Some(ResumeAction::Recv { src, start });
+                    self.ranks[rank].resume = Some((op, start));
                     return false;
                 }
             }
             MpiOp::Barrier => {
                 self.barrier.push((rank, start));
-                self.ranks[rank].resume = Some(ResumeAction::Barrier { start });
+                self.ranks[rank].resume = Some((op, start));
                 if self.barrier.len() == self.world {
                     let hops = (self.world.max(2) as f64).log2().ceil() as u64;
                     let latest = self
@@ -748,7 +666,7 @@ impl Exec<'_> {
                     });
                 }
                 self.bcast.push((rank, start));
-                self.ranks[rank].resume = Some(ResumeAction::Bcast { root, bytes, start });
+                self.ranks[rank].resume = Some((op, start));
                 if self.bcast.len() == self.world {
                     let arrivals = std::mem::take(&mut self.bcast);
                     self.run_bcast(root, bytes, arrivals);
@@ -757,7 +675,7 @@ impl Exec<'_> {
             }
             MpiOp::Allreduce { bytes } => {
                 self.allreduce.push((rank, start));
-                self.ranks[rank].resume = Some(ResumeAction::Allreduce { bytes, start });
+                self.ranks[rank].resume = Some((op, start));
                 if self.allreduce.len() == self.world {
                     let arrivals = std::mem::take(&mut self.allreduce);
                     self.run_allreduce(bytes, arrivals);
@@ -769,21 +687,18 @@ impl Exec<'_> {
                 let ctx = &mut self.ranks[rank];
                 ctx.t = end;
                 ctx.stats.meta_time += end - start;
-                self.emit(rank, start, end, TraceKind::Open { file, create });
             }
             MpiOp::FileClose { file } => {
                 let end = self.machine.io_close(start, node, file);
                 let ctx = &mut self.ranks[rank];
                 ctx.t = end;
                 ctx.stats.meta_time += end - start;
-                self.emit(rank, start, end, TraceKind::Close { file });
             }
             MpiOp::FileSync { file } => {
                 let end = self.machine.io_sync(start, node, file);
                 let ctx = &mut self.ranks[rank];
                 ctx.t = end;
                 ctx.stats.meta_time += end - start;
-                self.emit(rank, start, end, TraceKind::Sync { file });
             }
             MpiOp::Meta { verb, dir, file } => {
                 let end = self.machine.io_meta(start, node, verb, dir, file);
@@ -791,7 +706,6 @@ impl Exec<'_> {
                 ctx.t = end;
                 ctx.stats.meta_time += end - start;
                 ctx.stats.meta_ops += 1;
-                self.emit(rank, start, end, TraceKind::Meta { verb, dir, file });
             }
             MpiOp::WriteAt { file, offset, len } => {
                 let end = self.machine.io_write(start, node, file, offset, len);
@@ -800,17 +714,6 @@ impl Exec<'_> {
                 ctx.stats.io_time += end - start;
                 ctx.stats.bytes_written += len;
                 ctx.stats.io_ops += 1;
-                self.emit(
-                    rank,
-                    start,
-                    end,
-                    TraceKind::Write {
-                        file,
-                        offset,
-                        len,
-                        collective: false,
-                    },
-                );
             }
             MpiOp::ReadAt { file, offset, len } => {
                 let end = self.machine.io_read(start, node, file, offset, len);
@@ -819,39 +722,20 @@ impl Exec<'_> {
                 ctx.stats.io_time += end - start;
                 ctx.stats.bytes_read += len;
                 ctx.stats.io_ops += 1;
-                self.emit(
-                    rank,
-                    start,
-                    end,
-                    TraceKind::Read {
-                        file,
-                        offset,
-                        len,
-                        collective: false,
-                    },
-                );
             }
             MpiOp::WriteAtAll { file, offset, len } => {
-                self.ranks[rank].resume = Some(ResumeAction::CollWrite {
-                    file,
-                    offset,
-                    len,
-                    start,
-                });
+                self.ranks[rank].resume = Some((op, start));
                 self.collective_arrive(file, true, rank, start, offset, len);
                 return false;
             }
             MpiOp::ReadAtAll { file, offset, len } => {
-                self.ranks[rank].resume = Some(ResumeAction::CollRead {
-                    file,
-                    offset,
-                    len,
-                    start,
-                });
+                self.ranks[rank].resume = Some((op, start));
                 self.collective_arrive(file, false, rank, start, offset, len);
                 return false;
             }
         }
+        let end = self.ranks[rank].t;
+        self.emit(rank, start, end, op);
         true
     }
 
@@ -868,7 +752,7 @@ impl Exec<'_> {
             let ctx = &mut self.ranks[receiver];
             ctx.nb_complete = ctx.nb_complete.max(delivery);
             ctx.nb_pending -= 1;
-            if ctx.nb_pending == 0 && matches!(ctx.resume, Some(ResumeAction::WaitAll { .. })) {
+            if ctx.nb_pending == 0 && matches!(ctx.resume, Some((MpiOp::WaitAll, _))) {
                 let wake = ctx.t.max(ctx.nb_complete) + self.params.recv_overhead;
                 self.queue.schedule(wake.max(self.queue.now()), receiver);
             }
@@ -1127,24 +1011,32 @@ mod tests {
     use super::*;
     use crate::machine::FixedMachine;
     use crate::op::VecStream;
-    use crate::trace::VecSink;
+    use simcore::obs::{NoSink, TraceKind};
     use simcore::MIB;
 
     fn boxed(ops: Vec<MpiOp>) -> Box<dyn OpStream> {
         Box::new(VecStream::new(ops))
     }
 
-    fn run(placement: &[NodeId], programs: Vec<Vec<MpiOp>>) -> (RunStats, Vec<TraceEvent>) {
+    /// Runs `programs`; returns the stats and the traced primitives.
+    fn run(placement: &[NodeId], programs: Vec<Vec<MpiOp>>) -> (RunStats, Vec<TraceKind>) {
         let mut machine = FixedMachine::new(placement.iter().max().unwrap() + 1);
-        let mut sink = VecSink::new();
+        let mut events: Vec<ObsEvent> = Vec::new();
         let rt = Runtime::default();
         let stats = rt.run(
             &mut machine,
             placement,
             programs.into_iter().map(boxed).collect(),
-            &mut sink,
+            &mut events,
         );
-        (stats, sink.events)
+        let kinds = events
+            .iter()
+            .map(|e| match *e {
+                ObsEvent::MpiOp { kind, .. } => kind,
+                other => panic!("runtime emitted {other:?}"),
+            })
+            .collect();
+        (stats, kinds)
     }
 
     const F: FileId = FileId(1);
@@ -1266,7 +1158,7 @@ mod tests {
         );
         let recvs = events
             .iter()
-            .filter(|e| matches!(e.kind, TraceKind::Recv { .. }))
+            .filter(|e| matches!(e, TraceKind::Recv { .. }))
             .count();
         assert_eq!(recvs, 2);
     }
@@ -1357,7 +1249,7 @@ mod tests {
         assert_eq!(s.io_ops, 0);
         assert!(s.meta_time > Time::ZERO);
         assert_eq!(s.io_time, Time::ZERO);
-        let labels: Vec<&str> = events.iter().map(|e| e.kind.label()).collect();
+        let labels: Vec<&str> = events.iter().map(|e| e.label()).collect();
         assert_eq!(
             labels,
             vec!["meta_mkdir", "meta_create", "meta_stat", "meta_unlink"]
@@ -1387,12 +1279,12 @@ mod tests {
             .iter()
             .filter(|e| {
                 matches!(
-                    e.kind,
+                    e,
                     TraceKind::Write {
                         collective: true,
-                        len,
+                        len: MIB,
                         ..
-                    } if len == MIB
+                    }
                 )
             })
             .count();
@@ -1468,7 +1360,7 @@ mod tests {
         }
         let waits = events
             .iter()
-            .filter(|e| matches!(e.kind, TraceKind::Wait))
+            .filter(|e| matches!(e, TraceKind::Wait))
             .count();
         assert_eq!(waits, 2);
     }
@@ -1477,7 +1369,7 @@ mod tests {
     fn waitall_without_outstanding_requests_is_cheap() {
         let (stats, events) = run(&[0], vec![vec![MpiOp::WaitAll]]);
         assert!(stats.wall_time < Time::from_micros(10));
-        assert!(events.iter().any(|e| matches!(e.kind, TraceKind::Wait)));
+        assert!(events.contains(&TraceKind::Wait));
     }
 
     #[test]
@@ -1556,7 +1448,7 @@ mod tests {
         }
         let bcasts = events
             .iter()
-            .filter(|e| matches!(e.kind, TraceKind::Bcast { root: 3, .. }))
+            .filter(|e| matches!(e, TraceKind::Bcast { root: 3, .. }))
             .count();
         assert_eq!(bcasts, world);
     }
@@ -1570,7 +1462,7 @@ mod tests {
             .collect();
         let placement: Vec<usize> = (0..world).collect();
         let mut machine = FixedMachine::new(world);
-        let mut sink = VecSink::new();
+        let mut sink: Vec<ObsEvent> = Vec::new();
         let stats = Runtime::default().run(
             &mut machine,
             &placement,
@@ -1608,7 +1500,7 @@ mod tests {
         assert_eq!(
             events
                 .iter()
-                .filter(|e| matches!(e.kind, TraceKind::Allreduce { bytes: 8 }))
+                .filter(|e| matches!(e, TraceKind::Allreduce { bytes: 8 }))
                 .count(),
             world
         );
@@ -1628,7 +1520,7 @@ mod tests {
     fn marker_has_no_cost_but_is_traced() {
         let (stats, events) = run(&[0], vec![vec![MpiOp::Marker(42)]]);
         assert_eq!(stats.wall_time, Time::ZERO);
-        assert_eq!(events[0].kind, TraceKind::Marker(42));
+        assert_eq!(events[0], TraceKind::Marker(42));
     }
 
     #[test]
@@ -1674,7 +1566,7 @@ mod tests {
     #[should_panic(expected = "one placement entry per rank")]
     fn placement_must_cover_ranks() {
         let mut machine = FixedMachine::new(1);
-        let mut sink = VecSink::new();
+        let mut sink: Vec<ObsEvent> = Vec::new();
         Runtime::default().run(&mut machine, &[0, 0], vec![boxed(vec![])], &mut sink);
     }
 
@@ -1688,14 +1580,6 @@ mod tests {
         fn next_op(&mut self) -> Option<MpiOp> {
             Some(MpiOp::Marker(0))
         }
-    }
-
-    /// A sink that drops everything (livelock tests would otherwise
-    /// accumulate millions of trace events).
-    struct NullSink;
-
-    impl crate::trace::TraceSink for NullSink {
-        fn record(&mut self, _event: TraceEvent) {}
     }
 
     #[test]
@@ -1715,7 +1599,7 @@ mod tests {
         };
         let (plain, _) = run(&[0, 1], programs());
         let mut machine = FixedMachine::new(2);
-        let mut sink = VecSink::new();
+        let mut sink: Vec<ObsEvent> = Vec::new();
         let supervised = Runtime::default()
             .run_supervised(
                 &mut machine,
@@ -1732,7 +1616,7 @@ mod tests {
     #[test]
     fn livelocked_rank_is_aborted_as_stalled() {
         let mut machine = FixedMachine::new(1);
-        let mut sink = NullSink;
+        let mut sink = NoSink;
         let wd = WatchdogSpec::default().with_stall_limit(50_000).arm();
         let err = Runtime::default()
             .run_supervised(
@@ -1753,7 +1637,7 @@ mod tests {
     fn runaway_compute_is_aborted_at_the_sim_deadline() {
         let ops = vec![MpiOp::Compute(Time::from_secs(1)); 1000];
         let mut machine = FixedMachine::new(1);
-        let mut sink = NullSink;
+        let mut sink = NoSink;
         let wd = WatchdogSpec::sim_deadline(Time::from_secs(5)).arm();
         let err = Runtime::default()
             .run_supervised(&mut machine, &[0], vec![boxed(ops)], &mut sink, Some(wd))
@@ -1772,7 +1656,7 @@ mod tests {
     /// workers can classify them without burning a panic-retry budget.
     fn run_checked(placement: &[NodeId], programs: Vec<Vec<MpiOp>>) -> Result<RunStats, RunError> {
         let mut machine = FixedMachine::new(placement.iter().max().map_or(1, |m| m + 1));
-        let mut sink = VecSink::new();
+        let mut sink: Vec<ObsEvent> = Vec::new();
         Runtime::default().run_supervised(
             &mut machine,
             placement,
@@ -1808,7 +1692,7 @@ mod tests {
     #[test]
     fn supervised_unknown_node_is_typed() {
         let mut machine = FixedMachine::new(1);
-        let mut sink = VecSink::new();
+        let mut sink: Vec<ObsEvent> = Vec::new();
         let err = Runtime::default()
             .run_supervised(&mut machine, &[7], vec![boxed(vec![])], &mut sink, None)
             .expect_err("unknown node must be reported");

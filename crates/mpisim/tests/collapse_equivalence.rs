@@ -1,15 +1,13 @@
 //! Property: collapsed execution is *observationally identical* to full
-//! granular execution on symmetric programs — same `RunStats` (wall time
-//! and every per-rank counter) and the same per-rank trace event
-//! sequences, with the collapsed path provably engaged.
+//! granular execution on symmetric programs — same wall time, every
+//! per-rank counter and the same per-rank trace event sequences, with the
+//! collapsed path provably engaged (`RunStats::collapsed`).
 
 use fs::{FileId, MetaVerb};
 use mpisim::machine::FixedMachine;
-use mpisim::{
-    collapsed_run_count, MpiOp, OpStream, Runtime, SignedStream, StreamSignature, TraceEvent,
-    VecSink, VecStream,
-};
+use mpisim::{MpiOp, OpStream, RunStats, Runtime, SignedStream, StreamSignature, VecStream};
 use proptest::prelude::*;
+use simcore::obs::{NoSink, ObsEvent, ObsSink};
 use simcore::Time;
 
 const FILE: FileId = FileId(7);
@@ -77,23 +75,25 @@ fn run(
     groups: usize,
     rounds: &[u8],
     collapse: bool,
-) -> (mpisim::RunStats, Vec<TraceEvent>) {
+    sink: &mut dyn ObsSink,
+) -> RunStats {
     let placement: Vec<usize> = (0..world).collect();
     let mut machine = FixedMachine::new(world);
-    let mut sink = VecSink::new();
-    let stats = Runtime::default().with_collapse(collapse).run(
+    Runtime::default().with_collapse(collapse).run(
         &mut machine,
         &placement,
         signed_programs(world, groups, rounds),
-        &mut sink,
-    );
-    (stats, sink.events)
+        sink,
+    )
 }
 
-fn per_rank_events(events: &[TraceEvent], world: usize) -> Vec<Vec<TraceEvent>> {
+fn per_rank_events(events: &[ObsEvent], world: usize) -> Vec<Vec<ObsEvent>> {
     let mut per = vec![Vec::new(); world];
     for &ev in events {
-        per[ev.rank].push(ev);
+        let ObsEvent::MpiOp { rank, .. } = ev else {
+            panic!("runtime emitted {ev:?}")
+        };
+        per[rank as usize].push(ev);
     }
     per
 }
@@ -110,16 +110,20 @@ proptest! {
         // All-singleton cohorts (every rank its own group) correctly stay
         // granular; pigeonhole world > groups guarantees a real cohort.
         prop_assume!(world > groups);
-        let before = collapsed_run_count();
-        let (full, full_events) = run(world, groups, &rounds, false);
-        prop_assert_eq!(collapsed_run_count(), before, "toggle off must stay granular");
-        let (collapsed, collapsed_events) = run(world, groups, &rounds, true);
-        prop_assert!(
-            collapsed_run_count() > before,
-            "symmetric run on a rank-invariant machine must collapse"
-        );
-
-        prop_assert_eq!(&full, &collapsed);
+        let (mut full_events, mut collapsed_events) = (Vec::new(), Vec::new());
+        let full = run(world, groups, &rounds, false, &mut full_events);
+        prop_assert!(!full.collapsed, "toggle off must stay granular");
+        let collapsed = run(world, groups, &rounds, true, &mut collapsed_events);
+        // Unobserved, members are never stepped: O(1) per member.
+        let unobserved = run(world, groups, &rounds, true, &mut NoSink);
+        for stats in [&collapsed, &unobserved] {
+            prop_assert!(
+                stats.collapsed,
+                "symmetric run on a rank-invariant machine must collapse"
+            );
+            prop_assert_eq!(full.wall_time, stats.wall_time);
+            prop_assert_eq!(&full.per_rank, &stats.per_rank);
+        }
         // Per-rank trace sequences are identical, not merely equinumerous:
         // symmetric ranks share the representative's exact timings.
         let full_per = per_rank_events(&full_events, world);
@@ -130,57 +134,23 @@ proptest! {
 
 #[test]
 fn unsigned_programs_stay_granular() {
-    let before = collapsed_run_count();
-    let placement = [0usize, 1];
     let mut machine = FixedMachine::new(2);
-    let mut sink = VecSink::new();
     let programs: Vec<Box<dyn OpStream>> = (0..2)
         .map(|_| {
             Box::new(VecStream::new(vec![MpiOp::Compute(Time::from_micros(5))]))
                 as Box<dyn OpStream>
         })
         .collect();
-    Runtime::default().run(&mut machine, &placement, programs, &mut sink);
-    assert_eq!(collapsed_run_count(), before);
+    let stats = Runtime::default().run(&mut machine, &[0, 1], programs, &mut NoSink);
+    assert!(!stats.collapsed);
 }
 
 #[test]
 fn shared_nodes_stay_granular() {
-    let before = collapsed_run_count();
-    let placement = [0usize, 0];
+    let programs = signed_programs(2, 1, &[0, 1, 3]);
     let mut machine = FixedMachine::new(1);
-    let mut sink = VecSink::new();
-    Runtime::default().run(
-        &mut machine,
-        &placement,
-        signed_programs(2, 1, &[0, 1, 3]),
-        &mut sink,
-    );
-    assert_eq!(
-        collapsed_run_count(),
-        before,
-        "two ranks on one node must not collapse"
-    );
-}
-
-#[test]
-fn chaos_injection_disables_collapse() {
-    let _guard = simcore::chaos::install(simcore::chaos::HostFaultPlan::none());
-    let before = collapsed_run_count();
-    let placement = [0usize, 1];
-    let mut machine = FixedMachine::new(2);
-    let mut sink = VecSink::new();
-    Runtime::default().run(
-        &mut machine,
-        &placement,
-        signed_programs(2, 1, &[0, 1, 3]),
-        &mut sink,
-    );
-    assert_eq!(
-        collapsed_run_count(),
-        before,
-        "active chaos must force granular execution"
-    );
+    let stats = Runtime::default().run(&mut machine, &[0, 0], programs, &mut NoSink);
+    assert!(!stats.collapsed, "two ranks on one node must not collapse");
 }
 
 #[test]
@@ -207,6 +177,6 @@ fn lying_signature_is_detected() {
         )),
     ];
     let mut machine = FixedMachine::new(2);
-    let mut sink = VecSink::new();
-    Runtime::default().run(&mut machine, &[0, 1], programs, &mut sink);
+    let mut events: Vec<ObsEvent> = Vec::new();
+    Runtime::default().run(&mut machine, &[0, 1], programs, &mut events);
 }

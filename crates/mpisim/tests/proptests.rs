@@ -2,8 +2,9 @@
 //! terminate with consistent accounting.
 
 use mpisim::machine::FixedMachine;
-use mpisim::{MpiOp, NullSink, Runtime, VecStream};
+use mpisim::{MpiOp, Runtime, VecStream};
 use proptest::prelude::*;
+use simcore::obs::NoSink;
 use simcore::Time;
 
 /// Generates a random well-formed multi-rank program: compute bursts,
@@ -83,7 +84,7 @@ proptest! {
     ) {
         let placement: Vec<usize> = (0..world).map(|r| r % 3).collect();
         let mut machine = FixedMachine::new(3);
-        let mut sink = NullSink;
+        let mut sink = NoSink;
         let programs = random_programs(world, &rounds)
             .into_iter()
             .map(|ops| Box::new(VecStream::new(ops)) as Box<dyn mpisim::OpStream>)
@@ -112,7 +113,7 @@ proptest! {
         let run = || {
             let placement: Vec<usize> = (0..world).collect();
             let mut machine = FixedMachine::new(world);
-            let mut sink = NullSink;
+            let mut sink = NoSink;
             let programs = random_programs(world, &rounds)
                 .into_iter()
                 .map(|ops| Box::new(VecStream::new(ops)) as Box<dyn mpisim::OpStream>)

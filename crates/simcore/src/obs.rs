@@ -13,9 +13,188 @@
 //! carrying the same totals the event-granular loop would have produced
 //! one event at a time, so a trace taken with fast paths on and off
 //! aggregates identically.
+//!
+//! [`ObsEvent::MpiOp`] is also the application trace — the PAS2P-IO
+//! record of every MPI/MPI-IO primitive. The MPI runtime hands each one
+//! both to the thread's installed sink and to the [`ObsSink`] passed to
+//! the run, so always-on counters and a streaming application profile are
+//! two consumers of one event stream.
 
 use crate::time::Time;
+use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
+
+/// One mdtest-style metadata verb.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub enum MetaVerb {
+    /// Create an (empty) file in a directory.
+    Create,
+    /// Look up a file's attributes.
+    Stat,
+    /// Remove a file from a directory.
+    Unlink,
+    /// Create a directory.
+    Mkdir,
+    /// List a directory.
+    Readdir,
+}
+
+impl MetaVerb {
+    /// All verbs, in mdtest phase order.
+    pub const ALL: [MetaVerb; 5] = [
+        MetaVerb::Mkdir,
+        MetaVerb::Create,
+        MetaVerb::Stat,
+        MetaVerb::Unlink,
+        MetaVerb::Readdir,
+    ];
+
+    /// Stable label (used in traces and rendered metrics).
+    pub fn label(self) -> &'static str {
+        match self {
+            MetaVerb::Create => "create",
+            MetaVerb::Stat => "stat",
+            MetaVerb::Unlink => "unlink",
+            MetaVerb::Mkdir => "mkdir",
+            MetaVerb::Readdir => "readdir",
+        }
+    }
+
+    /// Whether the verb mutates the namespace (vs. a pure lookup).
+    pub fn mutates(self) -> bool {
+        matches!(self, MetaVerb::Create | MetaVerb::Unlink | MetaVerb::Mkdir)
+    }
+}
+
+/// The MPI primitive an [`ObsEvent::MpiOp`] reports. Ranks are `u32`
+/// world ranks; files and directories are raw file ids.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum TraceKind {
+    /// Local computation.
+    Compute,
+    /// Message sent (payload size, destination).
+    Send {
+        /// Destination rank.
+        dst: u32,
+        /// Payload bytes.
+        bytes: u64,
+    },
+    /// Message received (source).
+    Recv {
+        /// Source rank.
+        src: u32,
+    },
+    /// Barrier participation.
+    Barrier,
+    /// Broadcast participation.
+    Bcast {
+        /// Root rank.
+        root: u32,
+        /// Payload bytes.
+        bytes: u64,
+    },
+    /// All-reduce participation.
+    Allreduce {
+        /// Per-rank contribution bytes.
+        bytes: u64,
+    },
+    /// `MPI_Waitall` over the rank's outstanding nonblocking requests.
+    Wait,
+    /// File open (`create` true for creation).
+    Open {
+        /// File.
+        file: u64,
+        /// Created/truncated?
+        create: bool,
+    },
+    /// File close.
+    Close {
+        /// File.
+        file: u64,
+    },
+    /// A write at application level.
+    Write {
+        /// File.
+        file: u64,
+        /// Offset.
+        offset: u64,
+        /// Length.
+        len: u64,
+        /// Was this a collective (`_all`) operation?
+        collective: bool,
+    },
+    /// A read at application level.
+    Read {
+        /// File.
+        file: u64,
+        /// Offset.
+        offset: u64,
+        /// Length.
+        len: u64,
+        /// Was this a collective (`_all`) operation?
+        collective: bool,
+    },
+    /// Explicit file sync.
+    Sync {
+        /// File.
+        file: u64,
+    },
+    /// A workload-defined section marker.
+    Marker(u32),
+    /// An mdtest-class metadata operation.
+    Meta {
+        /// The metadata verb.
+        verb: MetaVerb,
+        /// Containing directory.
+        dir: u64,
+        /// Target file (the directory itself for mkdir/readdir).
+        file: u64,
+    },
+}
+
+impl TraceKind {
+    /// Stable label of the primitive (trace exports, metrics).
+    pub fn label(&self) -> &'static str {
+        match self {
+            TraceKind::Compute => "compute",
+            TraceKind::Send { .. } => "send",
+            TraceKind::Recv { .. } => "recv",
+            TraceKind::Barrier => "barrier",
+            TraceKind::Bcast { .. } => "bcast",
+            TraceKind::Allreduce { .. } => "allreduce",
+            TraceKind::Wait => "wait",
+            TraceKind::Open { .. } => "open",
+            TraceKind::Close { .. } => "close",
+            TraceKind::Write { .. } => "write",
+            TraceKind::Read { .. } => "read",
+            TraceKind::Sync { .. } => "sync",
+            TraceKind::Marker(_) => "marker",
+            TraceKind::Meta { verb, .. } => match verb {
+                MetaVerb::Create => "meta_create",
+                MetaVerb::Stat => "meta_stat",
+                MetaVerb::Unlink => "meta_unlink",
+                MetaVerb::Mkdir => "meta_mkdir",
+                MetaVerb::Readdir => "meta_readdir",
+            },
+        }
+    }
+
+    /// Payload bytes the primitive moved (0 for control/compute).
+    pub fn bytes(&self) -> u64 {
+        match self {
+            TraceKind::Send { bytes, .. }
+            | TraceKind::Bcast { bytes, .. }
+            | TraceKind::Allreduce { bytes } => *bytes,
+            TraceKind::Write { len, .. } | TraceKind::Read { len, .. } => *len,
+            _ => 0,
+        }
+    }
+
+    /// Whether this is a file I/O data operation (read or write).
+    pub fn io(&self) -> bool {
+        matches!(self, TraceKind::Write { .. } | TraceKind::Read { .. })
+    }
+}
 
 /// One event out of the simulated I/O path.
 ///
@@ -24,21 +203,16 @@ use std::cell::{Cell, RefCell};
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ObsEvent {
     /// An MPI-level primitive completed on a rank (begin = `start`,
-    /// end = `end`). `bytes` is the payload for data operations, 0
-    /// otherwise.
+    /// end = `end`).
     MpiOp {
         /// Executing rank.
-        rank: usize,
-        /// Primitive label (`"write"`, `"read"`, `"barrier"`, ...).
-        label: &'static str,
+        rank: u32,
         /// When the primitive began.
         start: Time,
         /// When it completed.
         end: Time,
-        /// Payload bytes (0 for non-data primitives).
-        bytes: u64,
-        /// Whether this primitive is file I/O (vs. compute/comm).
-        io: bool,
+        /// The primitive.
+        kind: TraceKind,
     },
     /// A fabric message was delivered (`from == to` is loopback). A
     /// dropped-and-retransmitted message emits once per wire crossing.
@@ -205,21 +379,41 @@ impl ObsEvent {
 }
 
 /// Consumer of [`ObsEvent`]s. Implementations live on the thread that
-/// runs the simulation; events arrive in emission order.
+/// runs the simulation; events arrive in emission order (events of one
+/// rank in program order, different ranks interleaved).
 pub trait ObsSink {
     /// Records one event.
     fn event(&mut self, ev: &ObsEvent);
+
+    /// Whether this sink observes anything at all. Only [`NoSink`] says
+    /// no, which lets producers skip building its events — in particular
+    /// the MPI runtime then executes a collapsed rank cohort in O(1) per
+    /// member instead of replaying every member's events.
+    fn observes(&self) -> bool {
+        true
+    }
 }
 
-/// The disabled default: ignores everything. Installing `NoSink` is
-/// equivalent to installing nothing — [`emit`] still constructs events —
-/// so leave the sink uninstalled for zero-cost disabled operation; this
-/// type exists for tests and as the explicit name of "observation off".
+/// The one "observe nothing" sink: ignores everything and says so via
+/// [`ObsSink::observes`]. Passing it to a run keeps every fast path open;
+/// installing it leaves [`enabled`] false, exactly like installing
+/// nothing.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NoSink;
 
 impl ObsSink for NoSink {
     fn event(&mut self, _ev: &ObsEvent) {}
+
+    fn observes(&self) -> bool {
+        false
+    }
+}
+
+/// Keeps every event in arrival order (small runs and tests only).
+impl ObsSink for Vec<ObsEvent> {
+    fn event(&mut self, ev: &ObsEvent) {
+        self.push(*ev);
+    }
 }
 
 thread_local! {
@@ -261,11 +455,13 @@ fn deliver(ev: ObsEvent) {
 /// Installs `sink` as the current thread's observer; returns a guard that
 /// restores the previous sink (usually none) when dropped. Share state
 /// with the sink (e.g. via `Rc<RefCell<..>>`) to read results back after
-/// the guard is gone.
+/// the guard is gone. A sink that does not [`ObsSink::observes`] leaves
+/// observation off for the guard's scope.
 #[must_use = "the sink is uninstalled when the guard drops"]
 pub fn install(sink: Box<dyn ObsSink>) -> ObsGuard {
+    let on = sink.observes();
     let prev = SINK.with(|s| s.borrow_mut().replace(sink));
-    let was_enabled = ENABLED.with(|e| e.replace(true));
+    let was_enabled = ENABLED.with(|e| e.replace(on));
     ObsGuard { prev, was_enabled }
 }
 
@@ -344,9 +540,13 @@ mod tests {
     }
 
     #[test]
-    fn no_sink_discards() {
+    fn installed_no_sink_keeps_observation_off() {
         let mut s = NoSink;
         s.event(&fault_event());
+        assert!(!s.observes());
+        let _guard = install(Box::new(NoSink));
+        assert!(!enabled());
+        emit(|| panic!("NoSink must not make emit build events"));
     }
 
     #[test]
@@ -354,12 +554,39 @@ mod tests {
         assert_eq!(fault_event().kind(), "fault");
         let e = ObsEvent::MpiOp {
             rank: 0,
-            label: "write",
             start: Time::ZERO,
             end: Time::from_secs(1),
-            bytes: 1,
-            io: true,
+            kind: TraceKind::Barrier,
         };
         assert_eq!(e.kind(), "mpi_op");
+    }
+
+    #[test]
+    fn mpi_primitives_classify_and_label() {
+        let w = TraceKind::Write {
+            file: 1,
+            offset: 0,
+            len: 10,
+            collective: false,
+        };
+        assert_eq!((w.label(), w.bytes(), w.io()), ("write", 10, true));
+        let s = TraceKind::Send { dst: 1, bytes: 64 };
+        assert_eq!((s.label(), s.bytes(), s.io()), ("send", 64, false));
+        let m = TraceKind::Meta {
+            verb: MetaVerb::Stat,
+            dir: 2,
+            file: 3,
+        };
+        assert_eq!((m.label(), m.bytes(), m.io()), ("meta_stat", 0, false));
+        assert!(!TraceKind::Marker(1).io());
+    }
+
+    #[test]
+    fn event_size_is_pinned() {
+        // Every MPI primitive travels by value through the sinks; growing
+        // the event grows the per-primitive cost of the runtime. The rank
+        // is a `u32` so it shares the first word with the discriminant.
+        assert_eq!(std::mem::size_of::<TraceKind>(), 32);
+        assert_eq!(std::mem::size_of::<ObsEvent>(), 56);
     }
 }

@@ -1142,6 +1142,7 @@ mod tests {
     #[test]
     fn generated_variant_evaluates_end_to_end() {
         use cluster::{presets, DeviceLayout, IoConfigBuilder};
+        use simcore::obs::NoSink;
         let g = Grammar::parse(EXAMPLE).unwrap();
         let v = g.variant(11, 0);
         let spec = presets::test_cluster();
@@ -1149,9 +1150,8 @@ mod tests {
         let mut machine = cluster::ClusterMachine::try_new(&spec, &config).expect("valid config");
         let programs = v.scenario().install(&mut machine);
         let placement = spec.placement(v.ranks);
-        let mut sink = mpisim::NullSink;
         let stats = mpisim::Runtime::default()
-            .run_supervised(&mut machine, &placement, programs, &mut sink, None)
+            .run_supervised(&mut machine, &placement, programs, &mut NoSink, None)
             .expect("generated program must run clean");
         assert!(stats.wall_time > Time::ZERO);
         assert!(stats.total_bytes() > 0);

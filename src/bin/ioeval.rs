@@ -209,20 +209,25 @@ fn evaluate_cmd(args: &[String]) {
     );
     // Optional Chrome-trace capture of the run (open in ui.perfetto.dev).
     if let Some(trace_path) = flag(args, "--trace") {
-        use cluster_io_eval::methodology::ChromeTraceSink;
+        use cluster_io_eval::methodology::obs::{to_chrome, Collector, TraceMeta};
         use cluster_io_eval::mpisim::Runtime;
-        let mut machine =
-            ClusterMachine::try_new(&spec, &config).expect("valid cluster configuration");
-        let programs = app.install(&mut machine);
-        let mut sink = ChromeTraceSink::new(2_000_000);
-        Runtime::default().run(&mut machine, &spec.placement(procs), programs, &mut sink);
-        std::fs::write(&trace_path, sink.to_json())
+        use cluster_io_eval::simcore::obs::NoSink;
+        let collector = Collector::with_capacity(2_000_000);
+        {
+            let _guard = collector.install();
+            let mut machine =
+                ClusterMachine::try_new(&spec, &config).expect("valid cluster configuration");
+            let programs = app.install(&mut machine);
+            Runtime::default().run(&mut machine, &spec.placement(procs), programs, &mut NoSink);
+        }
+        let data = collector.take();
+        let (events, dropped) = (data.events.len(), data.dropped);
+        std::fs::write(&trace_path, to_chrome(&[(TraceMeta::default(), data)]))
             .unwrap_or_else(|e| die(&format!("cannot write {trace_path}: {e}")));
         eprintln!(
-            "[ioeval] wrote {trace_path} ({} events{}) — open in chrome://tracing or ui.perfetto.dev",
-            sink.len(),
-            if sink.dropped() > 0 {
-                format!(", {} dropped", sink.dropped())
+            "[ioeval] wrote {trace_path} ({events} events{}) — open in chrome://tracing or ui.perfetto.dev",
+            if dropped > 0 {
+                format!(", {dropped} dropped")
             } else {
                 String::new()
             }

@@ -72,7 +72,6 @@ pub mod prelude {
     };
     pub use crate::methodology::report;
     pub use crate::methodology::trace::{AppProfile, PhaseReport, ProfileSink};
-    pub use crate::methodology::trace_export::ChromeTraceSink;
     pub use crate::simcore::{Abort, Bandwidth, Time, Watchdog, WatchdogSpec, GIB, KIB, MIB};
     pub use crate::workloads::{
         self, BtClass, BtIo, BtSubtype, FileType, Ior, IorOp, IozonePattern, IozoneRun, MadBench,

@@ -18,7 +18,8 @@
 use cluster::{presets, ClusterMachine, DeviceLayout, IoConfigBuilder};
 use fs::FileId;
 use ioeval_core::obs::{to_jsonl, Collector, TraceMeta, TRACE_SCHEMA};
-use mpisim::{NullSink, Runtime};
+use mpisim::Runtime;
+use simcore::obs::NoSink;
 use simcore::MIB;
 use std::path::PathBuf;
 use workloads::{Ior, IorOp};
@@ -38,7 +39,7 @@ fn traced_cell_jsonl() -> String {
         let mut machine = ClusterMachine::try_new(&spec, &config).expect("machine builds");
         let programs = scenario.install(&mut machine);
         let placement = spec.placement(ranks);
-        Runtime::default().run(&mut machine, &placement, programs, &mut NullSink);
+        Runtime::default().run(&mut machine, &placement, programs, &mut NoSink);
     }
     let data = collector.take();
     assert_eq!(data.dropped, 0, "pinned cell must fit the event cap");

@@ -242,12 +242,11 @@ fn shared_network_hurts_io_heavy_apps() {
             cluster::ClusterMachine::try_new(&spec, config).expect("valid cluster configuration");
         let programs = bt.scenario().install(&mut machine);
         let placement = spec.placement(4);
-        let mut sink = cluster_io_eval::mpisim::NullSink;
         let stats = cluster_io_eval::mpisim::Runtime::default().run(
             &mut machine,
             &placement,
             programs,
-            &mut sink,
+            &mut cluster_io_eval::simcore::obs::NoSink,
         );
         stats.wall_time
     };

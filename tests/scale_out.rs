@@ -61,7 +61,8 @@ fn campaign_at_1024_ranks_renders_byte_identical_across_jobs() {
 }
 
 /// Runs the 1024-rank IOR sweep on the scale testbed and renders one line
-/// per point, with the collapse toggle under test.
+/// per point, with the collapse toggle under test; asserts every point
+/// took the path the toggle asks for.
 fn scale_ior_table(collapse: bool) -> String {
     let spec = scale_1024();
     let placement = spec.placement(1024);
@@ -75,12 +76,15 @@ fn scale_ior_table(collapse: bool) -> String {
                 .scenario()
                 .programs;
             let mut machine = spec.machine();
-            let mut sink = mpisim::NullSink;
             let stats = mpisim::Runtime::default().with_collapse(collapse).run(
                 &mut machine,
                 &placement,
                 programs,
-                &mut sink,
+                &mut simcore::obs::NoSink,
+            );
+            assert_eq!(
+                stats.collapsed, collapse,
+                "the 1024-rank sweep must engage the rank-group fast path exactly when enabled"
             );
             let _ = writeln!(
                 out,
@@ -95,14 +99,8 @@ fn scale_ior_table(collapse: bool) -> String {
 
 #[test]
 fn golden_collapsed_scale_ior_table() {
-    let before = mpisim::collapsed_run_count();
     let full = scale_ior_table(false);
-    assert_eq!(mpisim::collapsed_run_count(), before);
     let collapsed = scale_ior_table(true);
-    assert!(
-        mpisim::collapsed_run_count() > before,
-        "the 1024-rank sweep must engage the rank-group fast path"
-    );
     // Equivalence first: the collapsed table IS the full table.
     assert_eq!(full, collapsed, "collapsed execution drifted from granular");
 
