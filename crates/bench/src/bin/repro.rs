@@ -4,8 +4,8 @@
 //!
 //! ```text
 //! repro [--scale quick|paper] [--out FILE] [--checkpoint DIR | --resume DIR]
-//!       [--deadline SECS] [--wall-budget SECS] [--jobs N] [--no-memo]
-//!       [--memo-stats] [--trace-out FILE] [--trace-format jsonl|chrome] [--metrics]
+//!       [--deadline SECS] [--wall-budget SECS] [--jobs N]
+//!       [--trace-out FILE] [--trace-format jsonl|chrome] [--metrics]
 //!       [--chaos-seed N] [--chaos-profile NAME] [--chaos-repro TOKEN]
 //!       [--pfs-profile full|fail|recover|none] [--strict-store]
 //!       [--grammar FILE] [--sample N] [--seed S]
@@ -25,14 +25,24 @@
 //! full sweeps); `--scale quick` (default) runs a structurally identical
 //! reduced version in seconds.
 //!
-//! `--checkpoint DIR` makes the run *resumable*: every finished experiment
-//! output and every completed characterization is persisted to `DIR`
-//! (digest-verified, written atomically), and a later run with `--resume
-//! DIR` (or the same `--checkpoint DIR`) replays finished work from disk
-//! instead of recomputing it — a `kill -9` mid-campaign costs at most the
-//! cell in flight, and the resumed output is byte-identical to an
-//! uninterrupted run. Corrupt or truncated checkpoint files are detected
-//! and recomputed.
+//! Every result a run computes — characterization phases, application
+//! profiles, evaluation reports, campaign cells, finished experiment
+//! outputs — goes through one content-addressed result store, keyed by a
+//! digest of every input that shapes it (scale, watchdog, PFS profile,
+//! scenario grid, cluster and configuration). Within a process, repeated
+//! phases, profiles and reports replay from memory; the store is a pure
+//! cache, so output is byte-identical either way, and its hit/miss counts
+//! go to stderr at the end of the run.
+//!
+//! `--checkpoint DIR` makes the run *resumable*: the store also writes
+//! every result to `DIR` (digest-verified, written atomically), and a
+//! later run with `--resume DIR` (or the same `--checkpoint DIR`) replays
+//! finished work from disk instead of recomputing it — a `kill -9`
+//! mid-campaign costs at most the cell in flight, and the resumed output
+//! is byte-identical to an uninterrupted run. A result written under other
+//! inputs (another scale, PFS profile, ...) never replays: its key
+//! differs, so it is recomputed. Corrupt or truncated checkpoint files are
+//! detected, quarantined and recomputed.
 //!
 //! `--deadline SECS` arms a simulated-time watchdog on every run (a
 //! livelocked or runaway simulation aborts instead of hanging the
@@ -44,13 +54,6 @@
 //! byte-identical to a sequential run — `--jobs` only trades wall-clock
 //! for cores.
 //!
-//! Characterizations are memoized in-process by default: revisiting the
-//! same `(cluster, configuration, sweep)` point replays the cached tables
-//! instead of re-simulating the sweep. The memo is a pure cache — output
-//! is byte-identical with or without it — and its hit/miss counts are
-//! reported to stderr at the end of the run. `--no-memo` disables it
-//! (every characterization is recomputed), for timing studies.
-//!
 //! `--trace-out FILE` records the I/O-path event stream of every directly
 //! evaluated run and writes it at exit: schema-versioned JSONL by default
 //! (one header line per run, then one line per event; all times integer
@@ -59,8 +62,8 @@
 //! `--metrics` appends an aggregated per-level metrics table (ops, bytes,
 //! rate, service time, mean queue depth per I/O-path level) to the report.
 //! Both are pure observation: experiment tables stay byte-identical.
-//! Experiments restored from a checkpoint are not re-run, so they
-//! contribute no events — use a fresh run for a complete trace.
+//! Experiments and reports restored from the store are not re-run, so
+//! they contribute no events — use a fresh run for a complete trace.
 //!
 //! `--pfs-profile` selects which PFS fault rows the `resilience`
 //! experiment adds to its RAID table: `full` (default) runs
@@ -73,7 +76,7 @@
 //! `--chaos-profile` (`store`, `panic`, `memo`, `trace`, or the default
 //! `mixed`) that injects failures into the campaign *runtime* — torn or
 //! failed checkpoint writes, ENOSPC, worker panics at cell boundaries,
-//! memo-cache corruption, trace-export errors. The runtime heals every
+//! result-store corruption, trace-export errors. The runtime heals every
 //! one of them (retry, quarantine-and-recompute, degrade to in-memory),
 //! and resuming an interrupted chaos run with `--resume` renders output
 //! byte-identical to an uninterrupted fault-free run. `--chaos-repro
@@ -96,8 +99,6 @@ fn main() {
     let mut deadline_secs: Option<u64> = None;
     let mut wall_budget_secs: Option<u64> = None;
     let mut jobs: Option<usize> = None;
-    let mut no_memo = false;
-    let mut memo_stats = false;
     let mut trace_out: Option<String> = None;
     let mut trace_chrome = false;
     let mut metrics = false;
@@ -154,8 +155,6 @@ fn main() {
                         .unwrap_or_else(|| die("expected --jobs N (N >= 1)")),
                 );
             }
-            "--no-memo" => no_memo = true,
-            "--memo-stats" => memo_stats = true,
             "--trace-out" => {
                 i += 1;
                 trace_out = Some(
@@ -240,19 +239,6 @@ fn main() {
     }
 
     if selected.is_empty() {
-        if memo_stats {
-            // Report the memo state without running any experiments. The
-            // memo is in-process, so a fresh invocation reports an empty
-            // cache — useful as a machine-checkable baseline and as the
-            // no-rerun form of the report experiments print at exit.
-            let repro = if no_memo {
-                Repro::new(scale).without_memo()
-            } else {
-                Repro::new(scale)
-            };
-            print_memo_report(&repro);
-            return;
-        }
         usage();
         return;
     }
@@ -316,9 +302,6 @@ fn main() {
     if let Some(s) = scenario_seed {
         repro = repro.with_scenario_seed(s);
     }
-    if no_memo {
-        repro = repro.without_memo();
-    }
     if trace_out.is_some() || metrics {
         repro = repro.with_tracing();
     }
@@ -343,20 +326,7 @@ fn main() {
 
     let mut full_output = String::new();
     for (id, desc, f) in to_run {
-        // The scenario experiment's output depends on the grammar, seed,
-        // and sample count, so its checkpoint key carries the full grid
-        // identity — a rerun with different scenario flags recomputes
-        // instead of replaying a stale grid.
-        let exp_key = if *id == "scenario" {
-            format!(
-                "exp-scenario-{}-{}",
-                scale.label(),
-                bench::scenario_grid::grid_key(&repro)
-            )
-        } else {
-            format!("exp-{id}-{}", scale.label())
-        };
-        let output = match repro.checkpoint_dir().and_then(|d| d.load(&exp_key)) {
+        let output = match repro.restore_experiment(id) {
             Some(cached) => {
                 eprintln!("[repro] {id} restored from checkpoint");
                 cached
@@ -366,12 +336,7 @@ fn main() {
                 let t0 = std::time::Instant::now();
                 let output = f(&mut repro);
                 eprintln!("[repro] {id} done in {:.1}s", t0.elapsed().as_secs_f64());
-                if let Some(d) = repro.checkpoint_dir() {
-                    // Checkpoint the results only: the store-health footer
-                    // is this process's operational state, and persisting
-                    // it would replay old trouble into a healthy resume.
-                    d.save(&exp_key, ioeval_core::campaign::strip_store_health(&output));
-                }
+                repro.save_experiment(id, &output);
                 output
             }
         };
@@ -407,15 +372,11 @@ fn main() {
             );
         }
     }
-    if let Some((hits, misses)) = repro.memo_stats() {
-        let (ph, pm) = repro.memo_phase_stats().unwrap_or((0, 0));
-        eprintln!(
-            "[repro] charact memo: {hits} hits, {misses} misses ({ph} phase hits, {pm} phase misses)"
-        );
-    }
-    if memo_stats {
-        print_memo_report(&repro);
-    }
+    let (hits, misses) = repro.store().stats();
+    let (ph, pm) = repro.store().kind_stats(ioeval_core::store::Kind::Phase);
+    eprintln!(
+        "[repro] result store: {hits} hits, {misses} misses ({ph} phase hits, {pm} phase misses)"
+    );
     if let Some(path) = out_file {
         let mut f = std::fs::File::create(&path)
             .unwrap_or_else(|e| die(&format!("cannot create {path}: {e}")));
@@ -452,18 +413,6 @@ fn main() {
     }
 }
 
-/// The `--memo-stats` report: whole-triple and phase-level counters of the
-/// characterization memo, on stdout so it can be machine-checked.
-fn print_memo_report(repro: &Repro) {
-    match (repro.memo_stats(), repro.memo_phase_stats()) {
-        (Some((hits, misses)), Some((ph, pm))) => {
-            println!("charact memo: {hits} hits, {misses} misses");
-            println!("phase memo:   {ph} hits, {pm} misses");
-        }
-        _ => println!("charact memo: disabled (--no-memo)"),
-    }
-}
-
 fn parse_secs(arg: Option<&String>, flag: &str) -> u64 {
     arg.and_then(|s| s.parse().ok())
         .unwrap_or_else(|| die(&format!("expected {flag} SECS")))
@@ -472,27 +421,25 @@ fn parse_secs(arg: Option<&String>, flag: &str) -> u64 {
 fn usage() {
     eprintln!(
         "usage: repro [--scale quick|paper] [--out FILE] [--checkpoint DIR | --resume DIR]\n\
-         \x20            [--deadline SECS] [--wall-budget SECS] [--jobs N] [--no-memo]\n\
-         \x20            [--memo-stats]\n\
+         \x20            [--deadline SECS] [--wall-budget SECS] [--jobs N]\n\
          \x20            [--trace-out FILE] [--trace-format jsonl|chrome] [--metrics]\n\
          \x20            [--chaos-seed N] [--chaos-profile store|panic|memo|trace|mixed]\n\
          \x20            [--chaos-repro TOKEN] [--pfs-profile full|fail|recover|none]\n\
          \x20            [--strict-store] [--grammar FILE] [--sample N] [--seed S]\n\
          \x20            <experiment>... | all | list\n\
          experiments regenerate the paper's tables/figures; see 'repro list'.\n\
-         --checkpoint/--resume persist finished work to DIR and replay it on rerun;\n\
+         --checkpoint/--resume persist every result to DIR and replay it on a rerun\n\
+         with the same inputs (results are keyed by scale, watchdog, PFS profile,\n\
+         scenario grid, cluster and configuration; phases, profiles and reports\n\
+         are also reused in memory, hit/miss counts go to stderr);\n\
          --deadline arms a simulated-time watchdog, --wall-budget a host-time ceiling;\n\
          --jobs runs campaign cells on N workers (deterministic merge: output is\n\
          byte-identical to --jobs 1; defaults to $IOEVAL_JOBS, else 1);\n\
-         --no-memo disables the in-process characterization memo (pure cache:\n\
-         output is byte-identical either way; hit/miss counts go to stderr);\n\
-         --memo-stats prints the memo report (whole-triple and phase counters)\n\
-         to stdout — with no experiments selected it reports without running;\n\
          --trace-out records the I/O-path event stream of every evaluated run\n\
          (schema-versioned JSONL; --trace-format chrome for chrome://tracing);\n\
          --metrics appends an aggregated per-level metrics table to the report;\n\
          --chaos-seed/--chaos-profile inject deterministic host faults (torn\n\
-         checkpoint writes, ENOSPC, worker panics, memo corruption, trace errors)\n\
+         checkpoint writes, ENOSPC, worker panics, store corruption, trace errors)\n\
          to exercise recovery; --chaos-repro TOKEN replays an exact schedule;\n\
          --pfs-profile picks the PFS fault rows of the resilience experiment\n\
          (full = fail + recover, none = RAID-only table);\n\

@@ -1,15 +1,14 @@
-//! Shared experiment context: scales, cached characterizations and runs.
+//! Shared experiment context: scales, the result store, and runs.
 
-use crate::checkpoint::{CampaignStore, CheckpointDir};
 use cluster::{config as ioconfig, presets, ClusterSpec, IoConfig};
-use ioeval_core::campaign::{CellStore, StoreHealth, SuperviseOptions};
-use ioeval_core::charact::{characterize_system_memo, CharacterizeOptions};
+use ioeval_core::campaign::{strip_store_health, SuperviseOptions};
+use ioeval_core::charact::{characterize_app, characterize_system_memo, CharacterizeOptions};
 use ioeval_core::eval::{evaluate, EvalOptions, EvalReport, FaultScenario};
-use ioeval_core::memo::CharactMemo;
 use ioeval_core::obs::{Collector, MetricsHub, ObsData, TraceMeta};
 use ioeval_core::perf_table::{AccessMode, PerfTableSet};
+use ioeval_core::store::{Key, Kind, Store, StoreHealth};
+use ioeval_core::trace::AppProfile;
 use simcore::{Time, WatchdogSpec, KIB, MIB};
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 use workloads::{BtClass, BtIo, BtSubtype, FileType, MadBench, Scenario};
@@ -30,14 +29,6 @@ impl Scale {
             "quick" => Some(Scale::Quick),
             "paper" => Some(Scale::Paper),
             _ => None,
-        }
-    }
-
-    /// Stable label for checkpoint keys.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Scale::Quick => "quick",
-            Scale::Paper => "paper",
         }
     }
 }
@@ -81,22 +72,22 @@ impl PfsFaultProfile {
     }
 }
 
-/// Experiment context: clusters, configurations, and memoized
-/// characterizations/evaluations shared between related experiments
-/// (Fig. 12 and Tables III/IV reuse the same runs, exactly like the paper).
+/// Experiment context: clusters, configurations, and one result [`Store`]
+/// shared between related experiments (Fig. 12 and Tables III/IV reuse the
+/// same runs, Table II and Fig. 8 the same traces, exactly like the
+/// paper).
 ///
-/// With a checkpoint directory attached, every characterization is also
-/// persisted (digest-verified, atomically) and restored across processes,
-/// so an interrupted `repro` run resumes instead of restarting.
+/// Every stored result is keyed by the inputs that shape it, so changing
+/// the scale, watchdog, PFS profile or scenario grid never replays a stale
+/// one. With a checkpoint directory attached, results are also persisted
+/// (digest-verified, atomically) and restored across processes, so an
+/// interrupted `repro` run resumes instead of restarting.
 pub struct Repro {
     /// Selected scale.
     pub scale: Scale,
-    tables: HashMap<String, PerfTableSet>,
-    reports: HashMap<String, EvalReport>,
-    store: Option<CampaignStore>,
+    store: Store,
     watchdog: Option<WatchdogSpec>,
     jobs: usize,
-    memo: Option<Arc<CharactMemo>>,
     obs: Option<ReproObs>,
     pfs_profile: PfsFaultProfile,
     scenario_grammar: Option<String>,
@@ -134,12 +125,9 @@ impl Repro {
             .unwrap_or(1);
         Repro {
             scale,
-            tables: HashMap::new(),
-            reports: HashMap::new(),
-            store: None,
+            store: Store::memory(),
             watchdog: None,
             jobs,
-            memo: Some(Arc::new(CharactMemo::new())),
             obs: None,
             pfs_profile: PfsFaultProfile::default(),
             scenario_grammar: None,
@@ -236,25 +224,14 @@ impl Repro {
         ))
     }
 
-    /// Disables the in-process characterization memo (campaigns recompute
-    /// every characterization from scratch). The memo is a pure cache —
-    /// rendered output is byte-identical either way — so this knob exists
-    /// for timing studies and as an escape hatch, not for correctness.
-    pub fn without_memo(mut self) -> Repro {
-        self.memo = None;
-        self
-    }
-
-    /// `(hits, misses)` of the characterization memo, when one is enabled.
+    /// `(hits, misses)` of the result store over every kind.
     pub fn memo_stats(&self) -> Option<(u64, u64)> {
-        self.memo.as_ref().map(|m| m.stats())
+        Some(self.store.stats())
     }
 
-    /// `(phase hits, phase misses)` of the characterization memo — the
-    /// per-measurement granularity that replays individual sweep points
-    /// even when the whole-triple key misses.
+    /// `(hits, misses)` of the result store's characterization phases.
     pub fn memo_phase_stats(&self) -> Option<(u64, u64)> {
-        self.memo.as_ref().map(|m| m.phase_stats())
+        Some(self.store.kind_stats(Kind::Phase))
     }
 
     /// Sets the campaign worker count (clamped to at least 1); overrides
@@ -269,10 +246,10 @@ impl Repro {
         self.jobs
     }
 
-    /// Attaches a durable checkpoint directory: characterizations and
-    /// campaign cells persist there and are restored on the next run.
+    /// Attaches a durable checkpoint directory behind the result store:
+    /// every result persists there and is restored on the next run.
     pub fn with_checkpoint(mut self, path: impl Into<PathBuf>) -> std::io::Result<Repro> {
-        self.store = Some(CampaignStore::open(path)?);
+        self.store = Store::open(path)?;
         Ok(self)
     }
 
@@ -282,27 +259,44 @@ impl Repro {
         self
     }
 
-    /// The checkpoint directory, when one is attached.
-    pub fn checkpoint_dir(&self) -> Option<&CheckpointDir> {
-        self.store.as_ref().map(CampaignStore::dir)
+    /// The result store (campaign experiments run their cells through it).
+    pub fn store(&self) -> &Store {
+        &self.store
     }
 
-    /// The durable cell store, when a checkpoint directory is attached
-    /// (campaign experiments persist their cells through it).
-    pub fn cell_store_mut(&mut self) -> Option<&mut CampaignStore> {
-        self.store.as_mut()
-    }
-
-    /// Host-side store health for this context: the checkpoint store's
-    /// failure counters, with memo-cache quarantines folded into
-    /// `quarantined`. All-zero (default) when nothing went wrong — the
-    /// `--strict-store` exit code gates on [`StoreHealth::any`].
+    /// Host-side store health for this context. All-zero (default) when
+    /// nothing went wrong — the `--strict-store` exit code gates on
+    /// [`StoreHealth::any`].
     pub fn store_health(&self) -> StoreHealth {
-        let mut health = self.store.as_ref().map(|s| s.health()).unwrap_or_default();
-        if let Some(m) = self.memo.as_deref() {
-            health.quarantined += m.quarantined();
+        self.store.health()
+    }
+
+    /// The key of experiment `id`'s rendered output: the id plus every
+    /// input of this context that can change what an experiment prints.
+    fn experiment_key(&self, id: &str) -> Key {
+        let grid = crate::scenario_grid::grid_key(self);
+        let inputs = (id, self.scale, self.pfs_profile, &self.watchdog, grid);
+        Key::of(Kind::Exp, &inputs)
+    }
+
+    /// The checkpointed output of experiment `id`, when a checkpoint
+    /// directory holds one written under this context's inputs.
+    pub fn restore_experiment(&self, id: &str) -> Option<String> {
+        if !self.store.holds(Kind::Exp) {
+            return None;
         }
-        health
+        self.store.get(self.experiment_key(id))
+    }
+
+    /// Checkpoints experiment `id`'s output (a no-op without a checkpoint
+    /// directory). The store-health footer is stripped: it is this
+    /// process's operational state, and replaying it would report old
+    /// trouble in a healthy resume.
+    pub fn save_experiment(&self, id: &str, output: &str) {
+        if self.store.holds(Kind::Exp) {
+            let results = strip_store_health(output).to_string();
+            self.store.put(self.experiment_key(id), &results);
+        }
     }
 
     /// Supervision policy for campaign experiments: the context's watchdog
@@ -310,7 +304,6 @@ impl Repro {
     pub fn supervise_options(&self) -> SuperviseOptions {
         SuperviseOptions {
             watchdog: self.watchdog.clone(),
-            memo: self.memo.clone(),
             metrics: self.obs.as_ref().map(|o| o.hub.clone()),
             ..SuperviseOptions::default()
         }
@@ -362,49 +355,37 @@ impl Repro {
         o
     }
 
-    /// Memoized system characterization of `(spec, config)`: served from
-    /// memory, then from the checkpoint directory (digest-verified), and
-    /// only then computed — after which both caches are filled.
-    pub fn characterize(&mut self, spec: &ClusterSpec, config: &IoConfig) -> PerfTableSet {
-        let key = format!("{}::{}", spec.name, config.name);
-        if let Some(t) = self.tables.get(&key) {
-            return t.clone();
-        }
+    /// System characterization of `(spec, config)` at this scale, phase by
+    /// phase through the result store: stored points replay, the rest are
+    /// measured and stored.
+    pub fn characterize(&self, spec: &ClusterSpec, config: &IoConfig) -> PerfTableSet {
         let opts = self.charact_options(spec);
-        let restored = self
-            .store
-            .as_mut()
-            .and_then(|s| s.load_tables(&spec.name, &config.name))
-            .filter(|t| opts.levels.iter().all(|&l| t.get(l).is_some()));
-        // The process-wide memo sits between the checkpoint directory and a
-        // fresh computation, so campaign cells and direct characterizations
-        // share one cache (keyed by the full `(spec, config, opts)` digest,
-        // not just the names).
-        let memo_key = self
-            .memo
-            .as_deref()
-            .map(|m| (m, CharactMemo::key(spec, config, &opts)));
-        let set = match restored.or_else(|| memo_key.and_then(|(m, k)| m.get(k))) {
-            Some(t) => t,
-            None => {
-                let t = characterize_system_memo(spec, config, &opts, self.memo.as_deref())
-                    .unwrap_or_else(|e| {
-                        panic!(
-                            "characterization of {} / {} failed: {e}",
-                            spec.name, config.name
-                        )
-                    });
-                if let Some(s) = self.store.as_mut() {
-                    s.save_tables(&t);
-                }
-                if let Some((m, k)) = memo_key {
-                    m.put(k, t.clone());
-                }
-                t
-            }
-        };
-        self.tables.insert(key, set.clone());
-        set
+        characterize_system_memo(spec, config, &opts, &self.store).unwrap_or_else(|e| {
+            panic!(
+                "characterization of {} / {} failed: {e}",
+                spec.name, config.name
+            )
+        })
+    }
+
+    /// Memoized application characterization of a scenario on `(spec,
+    /// config)`. `key` names the workload; together with the scale it
+    /// identifies the scenario.
+    pub fn profile(
+        &self,
+        spec: &ClusterSpec,
+        config: &IoConfig,
+        key: &str,
+        scenario: Scenario,
+    ) -> AppProfile {
+        let store_key = Key::of(Kind::Profile, &(self.scale, spec, config, key));
+        if let Some(p) = self.store.get(store_key) {
+            return p;
+        }
+        let profile = characterize_app(spec, config, scenario, None)
+            .unwrap_or_else(|e| panic!("characterization of {key} on {} failed: {e}", config.name));
+        self.store.put(store_key, &profile);
+        profile
     }
 
     /// A BT-IO instance at the scale.
@@ -434,9 +415,9 @@ impl Repro {
         self.eval_under(spec, config, key, scenario, FaultScenario::Healthy)
     }
 
-    /// Memoized evaluation under a fault scenario; the scenario label is
-    /// part of the memoization key, so the same workload can be compared
-    /// healthy vs degraded vs rebuilding without re-running either.
+    /// Memoized evaluation under a fault scenario; the fault scenario is
+    /// part of the store key, so the same workload can be compared healthy
+    /// vs degraded vs rebuilding without re-running either.
     pub fn eval_under(
         &mut self,
         spec: &ClusterSpec,
@@ -445,15 +426,12 @@ impl Repro {
         scenario: Scenario,
         faults: FaultScenario,
     ) -> EvalReport {
-        let full_key = format!(
-            "{}::{}::{}::{}",
-            spec.name,
-            config.name,
-            key,
-            faults.label()
+        let store_key = Key::of(
+            Kind::Report,
+            &(self.scale, spec, config, key, &faults, &self.watchdog),
         );
-        if let Some(r) = self.reports.get(&full_key) {
-            return r.clone();
+        if let Some(r) = self.store.get(store_key) {
+            return r;
         }
         let tables = self.characterize(spec, config);
         let scenario_label = faults.label().to_string();
@@ -470,7 +448,8 @@ impl Repro {
         };
         if let (Some(obs), Some(col)) = (self.obs.as_mut(), collector) {
             let data = col.take();
-            obs.hub.add(full_key.clone(), data.metrics.clone());
+            let cell = format!("{}::{}::{key}::{scenario_label}", spec.name, config.name);
+            obs.hub.add(cell, data.metrics.clone());
             obs.traced_exec = obs.traced_exec.saturating_add(report.profile.exec_time);
             obs.traces.push((
                 TraceMeta {
@@ -482,7 +461,7 @@ impl Repro {
                 data,
             ));
         }
-        self.reports.insert(full_key, report.clone());
+        self.store.put(store_key, &report);
         report
     }
 }
@@ -521,7 +500,6 @@ mod tests {
         assert_eq!(Scale::parse("quick"), Some(Scale::Quick));
         assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
         assert_eq!(Scale::parse("x"), None);
-        assert_eq!(Scale::Quick.label(), "quick");
     }
 
     #[test]
@@ -561,13 +539,18 @@ mod tests {
 
     #[test]
     fn characterization_is_memoized() {
-        let mut r = Repro::new(Scale::Quick);
+        let r = Repro::new(Scale::Quick);
         let spec = presets::test_cluster();
         let config = r.aohyper_configs().remove(0);
         let a = r.characterize(&spec, &config);
+        let (_, points) = r.memo_phase_stats().unwrap();
         let b = r.characterize(&spec, &config);
         assert_eq!(a.to_json(), b.to_json());
-        assert_eq!(r.tables.len(), 1);
+        assert_eq!(
+            r.memo_phase_stats(),
+            Some((points, points)),
+            "the second characterization replays every point"
+        );
     }
 
     #[test]
@@ -576,15 +559,75 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let spec = presets::test_cluster();
 
-        let mut first = Repro::new(Scale::Quick).with_checkpoint(&dir).unwrap();
+        let first = Repro::new(Scale::Quick).with_checkpoint(&dir).unwrap();
         let config = first.aohyper_configs().remove(0);
         let a = first.characterize(&spec, &config);
-        assert!(!first.checkpoint_dir().unwrap().is_empty());
+        assert!(!first.store().dir().unwrap().is_empty());
 
-        // A fresh context (empty memory cache) restores from disk — the
-        // restored tables are byte-identical to the computed ones.
-        let mut second = Repro::new(Scale::Quick).with_checkpoint(&dir).unwrap();
+        // A fresh context (empty memory tier) restores from disk — the
+        // restored tables are byte-identical to the computed ones, and no
+        // phase is simulated again.
+        let second = Repro::new(Scale::Quick).with_checkpoint(&dir).unwrap();
         let b = second.characterize(&spec, &config);
         assert_eq!(a.to_json(), b.to_json());
+        assert_eq!(second.memo_phase_stats().unwrap().1, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn scratch(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("ioeval-repro-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn experiment_checkpoints_replay_only_under_the_same_inputs() {
+        let dir = scratch("exp-inputs");
+        let writer = Repro::new(Scale::Quick).with_checkpoint(&dir).unwrap();
+        writer.save_experiment("resilience", "full-profile output\n");
+        let reopen = |r: Repro| r.with_checkpoint(&dir).unwrap();
+
+        let same = reopen(Repro::new(Scale::Quick));
+        assert_eq!(
+            same.restore_experiment("resilience").as_deref(),
+            Some("full-profile output\n")
+        );
+        assert_eq!(same.restore_experiment("table1"), None);
+        let stale = [
+            reopen(Repro::new(Scale::Quick).with_pfs_profile(PfsFaultProfile::Off)),
+            reopen(Repro::new(Scale::Paper)),
+            reopen(Repro::new(Scale::Quick).with_watchdog(WatchdogSpec::default())),
+            reopen(Repro::new(Scale::Quick).with_scenario_seed(SCENARIO_SEED + 1)),
+        ];
+        for r in stale {
+            assert_eq!(
+                r.restore_experiment("resilience"),
+                None,
+                "output written under other inputs must not replay"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn characterization_checkpoints_replay_only_under_the_same_watchdog() {
+        let dir = scratch("phase-inputs");
+        let spec = presets::test_cluster();
+        let writer = Repro::new(Scale::Quick).with_checkpoint(&dir).unwrap();
+        let config = writer.aohyper_configs().remove(0);
+        writer.characterize(&spec, &config);
+        let (_, points) = writer.memo_phase_stats().unwrap();
+
+        let guarded = Repro::new(Scale::Quick)
+            .with_watchdog(WatchdogSpec::default().with_stall_limit(1 << 40))
+            .with_checkpoint(&dir)
+            .unwrap();
+        guarded.characterize(&spec, &config);
+        assert_eq!(
+            guarded.memo_phase_stats(),
+            Some((0, points)),
+            "phases measured under another watchdog must be re-measured"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,7 +2,6 @@
 
 use crate::context::Repro;
 use cluster::ClusterSpec;
-use ioeval_core::charact::characterize_app;
 use ioeval_core::eval::EvalReport;
 use ioeval_core::perf_table::{AccessMode, IoLevel, OpType, PerfTableSet};
 use ioeval_core::report::{
@@ -167,8 +166,12 @@ fn btio_characterization_table(r: &mut Repro, procs: usize, title: &str) -> Stri
     let mut out = format!("{title}\n");
     for subtype in [BtSubtype::Full, BtSubtype::Simple] {
         let bt = r.btio(procs, subtype);
-        let profile = characterize_app(&spec, config, bt.scenario(), None)
-            .expect("BT-IO characterization on a preset configuration");
+        let profile = r.profile(
+            &spec,
+            config,
+            &format!("btio{procs}-{subtype:?}"),
+            bt.scenario(),
+        );
         out.push_str(&format!("\n-- subtype: {subtype:?} --\n"));
         out.push_str(&render_app_profile(&profile));
     }
@@ -219,8 +222,7 @@ pub fn fig8(r: &mut Repro) -> String {
     let mut out = String::new();
     for subtype in [BtSubtype::Full, BtSubtype::Simple] {
         let bt = r.btio(16, subtype);
-        let profile = characterize_app(&spec, config, bt.scenario(), None)
-            .expect("BT-IO characterization on a preset configuration");
+        let profile = r.profile(&spec, config, &format!("btio16-{subtype:?}"), bt.scenario());
         out.push_str(&phase_figure(
             &format!("Fig. 8 — NAS BT-IO {subtype:?} subtype traces (16 processes)"),
             &profile,
@@ -386,7 +388,7 @@ pub fn fig16(r: &mut Repro) -> String {
         let collector = Collector::new();
         let profile = {
             let _guard = collector.install();
-            characterize_app(&spec, config, mb.scenario(), None)
+            ioeval_core::charact::characterize_app(&spec, config, mb.scenario(), None)
                 .expect("MADbench2 characterization on a preset configuration")
         };
         out.push_str(&phase_figure(
@@ -411,8 +413,7 @@ pub fn table8(r: &mut Repro) -> String {
     for procs in [16usize, 64] {
         for ft in [FileType::Unique, FileType::Shared] {
             let mb = r.madbench(procs, ft);
-            let profile = characterize_app(&spec, &config, mb.scenario(), None)
-                .expect("MADbench2 characterization on a preset configuration");
+            let profile = r.profile(&spec, &config, &format!("mb{procs}-{ft:?}"), mb.scenario());
             out.push_str(&format!("\n-- {procs} processes, {ft:?} --\n"));
             out.push_str(&render_app_profile(&profile));
         }
@@ -894,7 +895,7 @@ pub fn resilience(r: &mut Repro) -> String {
 /// so a killed run resumes from the last finished cell and renders
 /// byte-identically to an uninterrupted one.
 pub fn campaign(r: &mut Repro) -> String {
-    use ioeval_core::campaign::{run_campaign_supervised, AppFactory, NoStore};
+    use ioeval_core::campaign::{run_campaign_supervised, AppFactory};
     let spec = r.aohyper();
     let configs = r.aohyper_configs();
     let opts = r.charact_options(&spec);
@@ -904,10 +905,7 @@ pub fn campaign(r: &mut Repro) -> String {
     let full = || bt_full.scenario();
     let simple = || bt_simple.scenario();
     let apps: Vec<AppFactory> = vec![("btio-full-16p", &full), ("btio-simple-16p", &simple)];
-    let campaign = match r.cell_store_mut() {
-        Some(store) => run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, store),
-        None => run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, &mut NoStore),
-    };
+    let campaign = run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, r.store());
     format!(
         "Campaign — supervised methodology run (paper Fig. 1 end to end):\n\n{}",
         campaign.render()
@@ -936,7 +934,7 @@ fn geomean(vals: &[f64]) -> Option<f64> {
 /// persist and resume exactly like the `campaign` experiment.
 pub fn io500(r: &mut Repro) -> String {
     use cluster::{IoConfigBuilder, Mount};
-    use ioeval_core::campaign::{run_campaign_supervised, AppFactory, NoStore};
+    use ioeval_core::campaign::{run_campaign_supervised, AppFactory};
     use simcore::MIB;
     use workloads::{Ior, IorOp, Mdtest};
 
@@ -994,10 +992,7 @@ pub fn io500(r: &mut Repro) -> String {
         let opts = r.charact_options(&spec);
         let sup = r.supervise_options();
         let configs = [config];
-        let campaign = match r.cell_store_mut() {
-            Some(store) => run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, store),
-            None => run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, &mut NoStore),
-        };
+        let campaign = run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, r.store());
 
         // A phase that completed without moving any bytes (or metadata
         // ops) has a zero — or, with a zero-duration run, NaN — rate.
@@ -1190,6 +1185,24 @@ mod tests {
     fn marker_columns_cover_the_papers_four() {
         let names: Vec<&str> = MARKER_COLS.iter().map(|(n, _, _)| *n).collect();
         assert_eq!(names, vec!["W_r", "C_r", "S_w", "W_w"]);
+    }
+
+    #[test]
+    fn table2_and_fig8_trace_each_btio_run_once() {
+        use ioeval_core::store::Kind;
+        let mut r = Repro::new(Scale::Quick);
+        table2(&mut r);
+        assert_eq!(
+            r.store().kind_stats(Kind::Profile),
+            (0, 2),
+            "table2 traces BT-IO full and simple"
+        );
+        fig8(&mut r);
+        assert_eq!(
+            r.store().kind_stats(Kind::Profile),
+            (2, 2),
+            "fig8 reuses table2's traces"
+        );
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!   per Aohyper configuration, the cell the release profile was taken
 //!   on;
 //! * **memo cold/warm** — the same characterization campaign run twice
-//!   against one [`ioeval_core::CharactMemo`]: the second run replays
-//!   every point from the memo;
+//!   against one [`ioeval_core::Store`]: the second run replays every
+//!   measurement phase from the store and simulates none;
 //! * **scale full/collapsed** — a 1024-rank IOR sweep on the leaf-spine
 //!   scale testbed, run with rank-group collapsing off and on; the ratio
 //!   is the scale-out fast-path speedup (CI gates it at ≥ 10×).
@@ -27,13 +27,12 @@
 //! regression on the pinned cell), never byte-for-byte.
 
 use cluster::{ClusterSpec, IoConfig};
-use ioeval_core::campaign::{run_campaign_supervised, AppFactory, NoStore, SuperviseOptions};
+use ioeval_core::campaign::{run_campaign_supervised, AppFactory, SuperviseOptions};
 use ioeval_core::charact::{characterize_system, CharacterizeOptions};
-use ioeval_core::memo::CharactMemo;
 use ioeval_core::perf_table::IoLevel;
+use ioeval_core::store::{Kind, Store};
 use serde::{Deserialize, Serialize};
 use simcore::{EventQueue, Time, KIB, MIB};
-use std::sync::Arc;
 use std::time::Instant;
 
 /// Work sizes for one harness run.
@@ -102,9 +101,9 @@ pub struct HotpathReport {
     /// Sum of the per-configuration cell times — the single number the CI
     /// smoke job compares against the committed baseline.
     pub pinned_cell_ms: f64,
-    /// Wall time of the characterization campaign with an empty memo.
+    /// Wall time of the characterization campaign on an empty store.
     pub memo_cold_ms: f64,
-    /// Wall time of the same campaign replayed from the filled memo.
+    /// Wall time of the same campaign replayed from the filled store.
     pub memo_warm_ms: f64,
     /// `memo_cold_ms / memo_warm_ms`.
     pub memo_speedup: f64,
@@ -209,31 +208,28 @@ pub fn pinned_cell_times(reps: u32) -> Vec<CellTime> {
 }
 
 /// Runs the pinned characterization campaign twice against one shared
-/// memo; returns `(cold_ms, warm_ms)`. The first run computes every
-/// point, the second replays all of them from the memo — the ratio is
-/// the repeated-point campaign speedup the memo buys.
+/// store; returns `(cold_ms, warm_ms)`. The first run measures every
+/// phase, the second replays all of them from the store — the ratio is
+/// the repeated-point campaign speedup the store buys.
 pub fn memo_campaign_ms() -> (f64, f64) {
     let (spec, configs) = aohyper();
     let opts = pinned_sweep_options();
-    let memo = Arc::new(CharactMemo::new());
-    let sup = SuperviseOptions {
-        memo: Some(memo.clone()),
-        ..SuperviseOptions::default()
-    };
+    let store = Store::memory();
+    let sup = SuperviseOptions::default();
     let apps: &[AppFactory] = &[];
     let run = || {
         let t0 = Instant::now();
-        let campaign = run_campaign_supervised(&spec, &configs, apps, &opts, &sup, &mut NoStore);
+        let campaign = run_campaign_supervised(&spec, &configs, apps, &opts, &sup, &store);
         assert_eq!(campaign.tables.len(), configs.len());
         t0.elapsed().as_secs_f64() * 1e3
     };
     let cold = run();
+    let (_, phases) = store.kind_stats(Kind::Phase);
     let warm = run();
-    let (hits, misses) = memo.stats();
     assert_eq!(
-        (hits, misses),
-        (configs.len() as u64, configs.len() as u64),
-        "second campaign should replay every point"
+        store.kind_stats(Kind::Phase),
+        (phases, phases),
+        "the warm campaign must replay every phase and simulate none"
     );
     (cold, warm)
 }

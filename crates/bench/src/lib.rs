@@ -12,11 +12,9 @@
 //! * [`Scale::Quick`] — reduced parameters with the same structure, for CI
 //!   and smoke-testing the harness end to end in seconds.
 
-pub mod checkpoint;
 pub mod context;
 pub mod experiments;
 pub mod hotpath;
 pub mod scenario_grid;
 
-pub use checkpoint::{CampaignStore, CheckpointDir, WriteRetry};
 pub use context::{write_artifact, PfsFaultProfile, Repro, Scale};

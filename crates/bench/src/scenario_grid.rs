@@ -5,19 +5,19 @@
 //! this experiment draws `sample` concrete variants from it under a fixed
 //! seed and sweeps every variant across every Aohyper storage
 //! configuration (plus a PVFS deployment) as one supervised campaign —
-//! the same scheduler, characterization memo, retry/quarantine policy,
-//! and checkpoint store every other campaign experiment uses. The grid
+//! the same scheduler, result store, and retry/quarantine policy every
+//! other campaign experiment uses. The grid
 //! easily reaches thousands of cells (`--sample 2500` × 4 configurations
 //! = 10k), and renders byte-identically for any `--jobs` value.
 //!
-//! Checkpoint namespacing: campaign cells persist keyed by `(app,
-//! config)` label, so every app label carries a grid tag derived from the
+//! Checkpoint namespacing: a campaign cell's store key names its workload
+//! by app label, so every app label carries a grid tag derived from the
 //! [`GridKey`] (grammar digest × seed × sample count). Changing the
 //! grammar text, the seed, or the sample count moves the tag and no stale
 //! cell can replay into the new grid.
 
 use crate::context::Repro;
-use ioeval_core::campaign::{run_campaign_supervised, AppFactory, CellOutcome, GridKey, NoStore};
+use ioeval_core::campaign::{run_campaign_supervised, AppFactory, CellOutcome, GridKey};
 use ioeval_core::report::TextTable;
 use workloads::grammar::{source_digest, Grammar, EXAMPLE};
 use workloads::Scenario;
@@ -33,7 +33,7 @@ fn default_sample(r: &Repro) -> usize {
 
 /// The grid identity of the scenario run this context would perform —
 /// grammar source digest (parse not required), sampler seed, sample
-/// count. The `repro` binary keys the experiment checkpoint by this, so
+/// count. Experiment checkpoints are keyed by this, so
 /// `--grammar`/`--seed`/`--sample` changes never replay a stale output.
 pub fn grid_key(r: &Repro) -> GridKey {
     GridKey {
@@ -45,12 +45,7 @@ pub fn grid_key(r: &Repro) -> GridKey {
 
 /// Short per-grid tag baked into campaign app labels (see module docs).
 fn grid_tag(key: &GridKey) -> String {
-    let s = key.to_string();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let h = simcore::fnv1a64(key.to_string().as_bytes());
     format!("{:08x}", (h ^ (h >> 32)) as u32)
 }
 
@@ -110,10 +105,7 @@ pub fn scenario(r: &mut Repro) -> String {
 
     let opts = r.charact_options(&spec);
     let sup = r.supervise_options();
-    let campaign = match r.cell_store_mut() {
-        Some(store) => run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, store),
-        None => run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, &mut NoStore),
-    };
+    let campaign = run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, r.store());
 
     let mut out = format!(
         "Scenario grid — grammar '{}' ({key}): {sample} variants x {} configurations = {} cells on {}:\n",
@@ -200,7 +192,7 @@ pub fn scenario(r: &mut Repro) -> String {
     }
     // Store-health footer intentionally matches Campaign::render's
     // discipline: operational state surfaces only when something broke.
-    let health = ioeval_core::campaign::StoreHealth {
+    let health = ioeval_core::store::StoreHealth {
         quarantined: 0,
         ..campaign.store_health
     };

@@ -4,8 +4,8 @@
 //! Chaos plans are process-global; every test here serializes on
 //! [`CHAOS_LOCK`].
 
-use bench::checkpoint::{CheckpointDir, WriteRetry};
 use bench::write_artifact;
+use ioeval_core::checkpoint::{CheckpointDir, WriteRetry};
 use simcore::chaos::{self, ChaosAction, ChaosSite, HostFaultPlan, Injection};
 use std::fs;
 use std::path::PathBuf;

@@ -6,11 +6,11 @@
 //! was torn mid-write (truncated) or corrupted on disk (bit flip) must be
 //! detected by its digest and recomputed, not trusted.
 
-use bench::checkpoint::CampaignStore;
 use cluster::{config as ioconfig, presets};
 use ioeval_core::campaign::Campaign;
-use ioeval_core::campaign::{run_campaign_supervised, AppFactory, NoStore, SuperviseOptions};
+use ioeval_core::campaign::{run_campaign_supervised, AppFactory, SuperviseOptions};
 use ioeval_core::charact::CharacterizeOptions;
+use ioeval_core::store::Store;
 use simcore::{KIB, MIB};
 use std::fs;
 use std::path::PathBuf;
@@ -31,10 +31,7 @@ fn charact_opts() -> CharacterizeOptions {
     o
 }
 
-fn run_campaign_jobs(
-    store: &mut (dyn ioeval_core::campaign::CellStore + Send),
-    jobs: usize,
-) -> Campaign {
+fn run_campaign_jobs(store: &Store, jobs: usize) -> Campaign {
     let spec = presets::aohyper();
     let configs = ioconfig::aohyper_configs();
     let bt = || {
@@ -54,7 +51,7 @@ fn run_campaign_jobs(
     )
 }
 
-fn run_campaign_with(store: &mut (dyn ioeval_core::campaign::CellStore + Send)) -> Campaign {
+fn run_campaign_with(store: &Store) -> Campaign {
     run_campaign_jobs(store, 1)
 }
 
@@ -65,7 +62,7 @@ fn dir_digest(dir: &PathBuf) -> Vec<(String, u64)> {
         .map(|e| {
             let e = e.unwrap();
             let name = e.file_name().to_string_lossy().into_owned();
-            let digest = bench::checkpoint::fnv1a64(&fs::read(e.path()).unwrap());
+            let digest = simcore::fnv1a64(&fs::read(e.path()).unwrap());
             (name, digest)
         })
         .collect();
@@ -78,11 +75,11 @@ fn interrupted_campaign_resumes_byte_identically() {
     let dir = scratch("kill");
 
     // The reference: one uninterrupted, storeless run.
-    let reference = run_campaign_with(&mut NoStore).render();
+    let reference = run_campaign_with(&Store::memory()).render();
 
     // A checkpointed run; every characterization and cell lands on disk.
-    let mut store = CampaignStore::open(&dir).unwrap();
-    let first = run_campaign_with(&mut store).render();
+    let store = Store::open(&dir).unwrap();
+    let first = run_campaign_with(&store).render();
     assert_eq!(first, reference, "checkpointing must not change results");
     let files: Vec<PathBuf> = fs::read_dir(&dir)
         .unwrap()
@@ -90,12 +87,12 @@ fn interrupted_campaign_resumes_byte_identically() {
         .collect();
     assert!(
         files.len() >= 6,
-        "3 characterizations + 3 cells expected, got {}",
+        "3 characterizations' phases + 3 cells expected, got {}",
         files.len()
     );
 
-    // "Kill" the campaign mid-stream: erase a suffix of its progress (one
-    // characterization and one cell), as if the process died before
+    // "Kill" the campaign mid-stream: erase part of its progress (one cell
+    // and one characterization phase), as if the process died before
     // writing them.
     let mut sorted = files.clone();
     sorted.sort();
@@ -103,16 +100,16 @@ fn interrupted_campaign_resumes_byte_identically() {
     fs::remove_file(sorted.last().unwrap()).unwrap();
 
     // Resume: missing artifacts recompute, present ones replay.
-    let mut store = CampaignStore::open(&dir).unwrap();
-    let resumed = run_campaign_with(&mut store).render();
+    let store = Store::open(&dir).unwrap();
+    let resumed = run_campaign_with(&store).render();
     assert_eq!(resumed, reference, "resume must be byte-identical");
 }
 
 #[test]
 fn corrupt_checkpoints_are_detected_and_recomputed() {
     let dir = scratch("corrupt");
-    let mut store = CampaignStore::open(&dir).unwrap();
-    let reference = run_campaign_with(&mut store).render();
+    let store = Store::open(&dir).unwrap();
+    let reference = run_campaign_with(&store).render();
 
     let mut files: Vec<PathBuf> = fs::read_dir(&dir)
         .unwrap()
@@ -134,8 +131,8 @@ fn corrupt_checkpoints_are_detected_and_recomputed() {
 
     // The resumed campaign must notice both (digest/parse mismatch),
     // recompute them, and still render byte-identically.
-    let mut store = CampaignStore::open(&dir).unwrap();
-    let resumed = run_campaign_with(&mut store).render();
+    let store = Store::open(&dir).unwrap();
+    let resumed = run_campaign_with(&store).render();
     assert_eq!(
         resumed, reference,
         "corrupt checkpoints must be recomputed, not trusted"
@@ -152,8 +149,8 @@ fn corrupt_checkpoints_are_detected_and_recomputed() {
 #[test]
 fn quarantine_state_survives_checkpoint_and_resume() {
     let dir = scratch("quarantine");
-    let mut store = CampaignStore::open(&dir).unwrap();
-    let reference = run_campaign_with(&mut store).render();
+    let store = Store::open(&dir).unwrap();
+    let reference = run_campaign_with(&store).render();
 
     // Tear one checkpoint mid-write.
     let mut files: Vec<PathBuf> = fs::read_dir(&dir)
@@ -168,10 +165,10 @@ fn quarantine_state_survives_checkpoint_and_resume() {
     // The resume quarantines the torn file (kept aside for forensics),
     // recomputes the artifact, and renders byte-identically — quarantines
     // are successful healing, so they must never leak into the rendering.
-    let mut store = CampaignStore::open(&dir).unwrap();
-    let resumed = run_campaign_with(&mut store).render();
+    let store = Store::open(&dir).unwrap();
+    let resumed = run_campaign_with(&store).render();
     assert_eq!(resumed, reference, "healing must be invisible in results");
-    assert_eq!(store.dir().health().quarantined, 1);
+    assert_eq!(store.health().quarantined, 1);
     let quarantined: Vec<PathBuf> = fs::read_dir(&dir)
         .unwrap()
         .map(|e| e.unwrap().path())
@@ -183,10 +180,10 @@ fn quarantine_state_survives_checkpoint_and_resume() {
     // resume replays every (recomputed) checkpoint, quarantines nothing
     // new, and leaves the forensic copy untouched.
     let aside_bytes = fs::read(&quarantined[0]).unwrap();
-    let mut store = CampaignStore::open(&dir).unwrap();
-    let again = run_campaign_with(&mut store).render();
+    let store = Store::open(&dir).unwrap();
+    let again = run_campaign_with(&store).render();
     assert_eq!(again, reference);
-    assert_eq!(store.dir().health().quarantined, 0, "nothing left to heal");
+    assert_eq!(store.health().quarantined, 0, "nothing left to heal");
     assert_eq!(
         fs::read(&quarantined[0]).unwrap(),
         aside_bytes,
@@ -201,12 +198,12 @@ fn parallel_checkpoints_are_digest_identical_to_sequential() {
     // bytes. Store writes are serialized through the input-ordered
     // merger, so worker scheduling cannot leak into what is persisted.
     let seq_dir = scratch("digest-seq");
-    let mut seq_store = CampaignStore::open(&seq_dir).unwrap();
-    let seq_render = run_campaign_jobs(&mut seq_store, 1).render();
+    let seq_store = Store::open(&seq_dir).unwrap();
+    let seq_render = run_campaign_jobs(&seq_store, 1).render();
 
     let par_dir = scratch("digest-par");
-    let mut par_store = CampaignStore::open(&par_dir).unwrap();
-    let par_render = run_campaign_jobs(&mut par_store, 4).render();
+    let par_store = Store::open(&par_dir).unwrap();
+    let par_render = run_campaign_jobs(&par_store, 4).render();
 
     assert_eq!(seq_render, par_render, "rendered campaigns must match");
     assert_eq!(
@@ -223,10 +220,10 @@ fn interrupted_parallel_campaign_resumes_byte_identically() {
     // and still converges to the reference — the store replays cells
     // written by workers and recomputes the erased ones.
     let dir = scratch("kill-par");
-    let reference = run_campaign_with(&mut NoStore).render();
+    let reference = run_campaign_with(&Store::memory()).render();
 
-    let mut store = CampaignStore::open(&dir).unwrap();
-    let first = run_campaign_jobs(&mut store, 4).render();
+    let store = Store::open(&dir).unwrap();
+    let first = run_campaign_jobs(&store, 4).render();
     assert_eq!(first, reference, "parallel run must match the reference");
 
     let mut files: Vec<PathBuf> = fs::read_dir(&dir)
@@ -238,8 +235,8 @@ fn interrupted_parallel_campaign_resumes_byte_identically() {
     fs::remove_file(&files[1]).unwrap();
     fs::remove_file(files.last().unwrap()).unwrap();
 
-    let mut store = CampaignStore::open(&dir).unwrap();
-    let resumed_seq = run_campaign_with(&mut store).render();
+    let store = Store::open(&dir).unwrap();
+    let resumed_seq = run_campaign_with(&store).render();
     assert_eq!(resumed_seq, reference, "sequential resume of parallel run");
 
     // And the other direction: interrupt again, resume in parallel.
@@ -249,7 +246,7 @@ fn interrupted_parallel_campaign_resumes_byte_identically() {
         .collect();
     files.sort();
     fs::remove_file(&files[0]).unwrap();
-    let mut store = CampaignStore::open(&dir).unwrap();
-    let resumed_par = run_campaign_jobs(&mut store, 4).render();
+    let store = Store::open(&dir).unwrap();
+    let resumed_par = run_campaign_jobs(&store, 4).render();
     assert_eq!(resumed_par, reference, "parallel resume of interrupted run");
 }

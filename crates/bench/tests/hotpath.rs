@@ -95,8 +95,8 @@ fn characterization_is_identical_with_and_without_collector() {
 
 #[test]
 fn memo_warm_replay_beats_cold_compute() {
-    // Even at smoke sizes the warm campaign only clones tables out of the
-    // memo, so it must not be slower than the cold one by more than noise.
+    // Even at smoke sizes the warm campaign only replays phases out of the
+    // store, so it must not be slower than the cold one by more than noise.
     let (cold, warm) = bench::hotpath::memo_campaign_ms();
     assert!(cold > 0.0 && warm > 0.0);
     assert!(

@@ -10,8 +10,9 @@
 //! Measured figures are recorded in `EXPERIMENTS.md`.
 
 use cluster::{config as ioconfig, presets};
-use ioeval_core::campaign::{run_campaign_supervised, AppFactory, NoStore, SuperviseOptions};
+use ioeval_core::campaign::{run_campaign_supervised, AppFactory, SuperviseOptions};
 use ioeval_core::charact::CharacterizeOptions;
+use ioeval_core::store::Store;
 use simcore::{KIB, MIB};
 use std::time::Instant;
 use workloads::{BtClass, BtIo, BtSubtype, FileType, MadBench};
@@ -52,8 +53,14 @@ fn timed_campaign(jobs: usize) -> (String, f64) {
     ];
     let sup = SuperviseOptions::default().with_jobs(jobs);
     let t0 = Instant::now();
-    let campaign =
-        run_campaign_supervised(&spec, &configs, &apps, &charact_opts(), &sup, &mut NoStore);
+    let campaign = run_campaign_supervised(
+        &spec,
+        &configs,
+        &apps,
+        &charact_opts(),
+        &sup,
+        &Store::memory(),
+    );
     let elapsed = t0.elapsed().as_secs_f64();
     assert_eq!(campaign.outcomes.len(), 12, "4 apps x 3 configs");
     assert!(!campaign.is_degraded());

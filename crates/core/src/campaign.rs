@@ -13,22 +13,21 @@
 //! (a panic costs one cell, not the campaign), under optional watchdog
 //! budgets (a livelocked or runaway simulation becomes a
 //! [`CellOutcome::TimedOut`] cell), with bounded retry and per-configuration
-//! quarantine, and with every completed artifact offered to a [`CellStore`]
-//! so a killed campaign resumes instead of restarting. The campaign always
+//! quarantine, and with every completed artifact offered to a [`Store`] so
+//! a killed campaign resumes instead of restarting. The campaign always
 //! completes with whatever cells survived — graceful degradation to partial
 //! results, reported in the outcome table.
 
 use crate::advisor::{predict, Prediction};
 use crate::charact::{characterize_system_memo, CharacterizeOptions};
 use crate::eval::{evaluate, EvalError, EvalOptions, EvalReport, FaultScenario};
-use crate::memo::CharactMemo;
 use crate::perf_table::PerfTableSet;
 use crate::report::{render_metrics, TextTable};
+use crate::store::{Key, Kind, Store, StoreHealth};
 use crate::supervise::run_isolated;
 use cluster::{ClusterSpec, IoConfig};
 use serde::{Deserialize, Serialize};
 use simcore::{Abort, FaultProfile, FaultSchedule, Time, WatchdogSpec};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -154,178 +153,6 @@ impl CellOutcome {
     }
 }
 
-/// Typed health counters for a [`CellStore`]: what went wrong on the host
-/// side while persisting or loading campaign artifacts. Store failures are
-/// never fatal to a campaign (the self-healing paths retry, quarantine, or
-/// degrade to memory), but they must not be silent either — the counters
-/// are surfaced in the campaign summary and drive the `--strict-store`
-/// exit code.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StoreHealth {
-    /// Artifacts that could not be serialized (never reached disk).
-    pub serialize_errors: u64,
-    /// Write attempts that failed and were retried with backoff.
-    pub write_retries: u64,
-    /// Writes that exhausted their retries (artifact kept in memory only).
-    pub write_failures: u64,
-    /// Corrupt checkpoint files quarantined on load (renamed aside and
-    /// recomputed).
-    pub quarantined: u64,
-    /// Whether the store degraded to in-memory operation for at least one
-    /// artifact — a resumed run will recompute those artifacts.
-    pub degraded: bool,
-}
-
-impl StoreHealth {
-    /// Whether anything at all went wrong.
-    pub fn any(&self) -> bool {
-        self.serialize_errors > 0
-            || self.write_retries > 0
-            || self.write_failures > 0
-            || self.quarantined > 0
-            || self.degraded
-    }
-
-    /// One line of counters, e.g.
-    /// `1 serialize error, 2 write retries, 1 write failure (degraded to in-memory), 1 quarantined checkpoint`.
-    pub fn summary(&self) -> String {
-        fn part(n: u64, one: &str, many: &str) -> Option<String> {
-            (n > 0).then(|| format!("{n} {}", if n == 1 { one } else { many }))
-        }
-        let mut parts: Vec<String> = Vec::new();
-        parts.extend(part(
-            self.serialize_errors,
-            "serialize error",
-            "serialize errors",
-        ));
-        parts.extend(part(self.write_retries, "write retry", "write retries"));
-        if let Some(mut s) = part(self.write_failures, "write failure", "write failures") {
-            if self.degraded {
-                s.push_str(" (degraded to in-memory)");
-            }
-            parts.push(s);
-        } else if self.degraded {
-            parts.push("degraded to in-memory".to_string());
-        }
-        parts.extend(part(
-            self.quarantined,
-            "quarantined checkpoint",
-            "quarantined checkpoints",
-        ));
-        if parts.is_empty() {
-            "healthy".to_string()
-        } else {
-            parts.join(", ")
-        }
-    }
-}
-
-/// Where a supervised campaign checkpoints completed artifacts and looks
-/// them up on resume. Implementations must only return artifacts they can
-/// vouch for — a store backed by disk verifies integrity digests and treats
-/// any corrupt or unreadable entry as absent (recompute, never trust).
-pub trait CellStore {
-    /// A previously checkpointed characterization for `(cluster, config)`.
-    fn load_tables(&mut self, cluster: &str, config: &str) -> Option<PerfTableSet>;
-    /// Checkpoints a completed characterization.
-    fn save_tables(&mut self, tables: &PerfTableSet);
-    /// A previously checkpointed outcome for `(app, config)`.
-    fn load_outcome(&mut self, app: &str, config: &str) -> Option<CellOutcome>;
-    /// Checkpoints a completed cell outcome.
-    fn save_outcome(&mut self, outcome: &CellOutcome);
-    /// Host-side failure counters accumulated so far (see [`StoreHealth`]).
-    /// Infallible in-memory stores report the healthy default.
-    fn health(&self) -> StoreHealth {
-        StoreHealth::default()
-    }
-}
-
-/// A store that never remembers anything: every run starts fresh.
-pub struct NoStore;
-
-impl CellStore for NoStore {
-    fn load_tables(&mut self, _cluster: &str, _config: &str) -> Option<PerfTableSet> {
-        None
-    }
-    fn save_tables(&mut self, _tables: &PerfTableSet) {}
-    fn load_outcome(&mut self, _app: &str, _config: &str) -> Option<CellOutcome> {
-        None
-    }
-    fn save_outcome(&mut self, _outcome: &CellOutcome) {}
-}
-
-/// An in-memory store (tests and same-process resume).
-#[derive(Default)]
-pub struct MemStore {
-    tables: HashMap<(String, String), PerfTableSet>,
-    outcomes: HashMap<(String, String), CellOutcome>,
-    /// Characterizations served from the store.
-    pub table_hits: u32,
-    /// Outcomes served from the store.
-    pub outcome_hits: u32,
-}
-
-impl MemStore {
-    /// An empty store.
-    pub fn new() -> MemStore {
-        MemStore::default()
-    }
-
-    /// Number of checkpointed outcomes.
-    pub fn outcome_count(&self) -> usize {
-        self.outcomes.len()
-    }
-
-    /// Every checkpointed outcome for `app`, sorted by configuration name
-    /// (the backing map is unordered, so the sort keeps inspection
-    /// deterministic).
-    pub fn outcomes_for(&self, app: &str) -> Vec<&CellOutcome> {
-        let mut v: Vec<&CellOutcome> = self
-            .outcomes
-            .iter()
-            .filter(|((a, _), _)| a == app)
-            .map(|(_, o)| o)
-            .collect();
-        v.sort_by(|a, b| a.config().cmp(b.config()));
-        v
-    }
-}
-
-impl CellStore for MemStore {
-    fn load_tables(&mut self, cluster: &str, config: &str) -> Option<PerfTableSet> {
-        let hit = self
-            .tables
-            .get(&(cluster.to_string(), config.to_string()))
-            .cloned();
-        if hit.is_some() {
-            self.table_hits += 1;
-        }
-        hit
-    }
-    fn save_tables(&mut self, tables: &PerfTableSet) {
-        self.tables.insert(
-            (tables.cluster.clone(), tables.config.clone()),
-            tables.clone(),
-        );
-    }
-    fn load_outcome(&mut self, app: &str, config: &str) -> Option<CellOutcome> {
-        let hit = self
-            .outcomes
-            .get(&(app.to_string(), config.to_string()))
-            .cloned();
-        if hit.is_some() {
-            self.outcome_hits += 1;
-        }
-        hit
-    }
-    fn save_outcome(&mut self, outcome: &CellOutcome) {
-        self.outcomes.insert(
-            (outcome.app().to_string(), outcome.config().to_string()),
-            outcome.clone(),
-        );
-    }
-}
-
 /// Per-cell fault injection for stochastic resilience campaigns: every
 /// (application × configuration) cell draws its own [`FaultSchedule`] from
 /// a seed derived from the campaign seed and the cell's identity
@@ -385,11 +212,6 @@ pub struct SuperviseOptions {
     /// Optional per-cell stochastic fault injection (seeded by cell
     /// identity, so parallel and sequential campaigns inject identically).
     pub cell_faults: Option<CellFaultPolicy>,
-    /// Optional in-process characterization memo: repeated characterization
-    /// points replay from memory instead of re-running the sweep. A pure
-    /// cache — campaigns render and checkpoint byte-identically with or
-    /// without it (characterization is deterministic).
-    pub memo: Option<Arc<CharactMemo>>,
     /// Optional observability aggregation: when set, every evaluation cell
     /// runs under a [`crate::obs::Collector`] and contributes its
     /// per-level metrics to the hub keyed by cell identity, so
@@ -408,7 +230,6 @@ impl Default for SuperviseOptions {
             wall_budget: None,
             jobs: 1,
             cell_faults: None,
-            memo: None,
             metrics: None,
         }
     }
@@ -456,7 +277,7 @@ pub struct Campaign {
     /// Configurations whose characterization failed, with the reason.
     pub charact_errors: Vec<(String, String)>,
     /// Host-side store failure counters for the run (see [`StoreHealth`]).
-    /// All-zero for in-memory stores and healthy disk stores; surfaced in
+    /// All-zero for a healthy store; surfaced in
     /// [`Campaign::render`] only when something went wrong, so healthy runs
     /// render byte-identically to runs of older versions.
     pub store_health: StoreHealth,
@@ -642,7 +463,7 @@ pub enum CellAttempt {
     Ran {
         /// The outcome the worker computed or replayed.
         outcome: CellOutcome,
-        /// Whether it came from the [`CellStore`] (replays are never
+        /// Whether it came from the [`Store`] (replays are never
         /// re-persisted).
         from_store: bool,
     },
@@ -663,8 +484,8 @@ pub enum CellAttempt {
 /// order; [`merge_ready`](CellMerger::merge_ready) consumes the ready
 /// prefix in input order, applying the sequential campaign's quarantine
 /// semantics (consecutive-failure counting, permanent per-configuration
-/// poisoning) and serializing every checkpoint write through the single
-/// caller-provided store. Because quarantine is decided only from
+/// poisoning) and handing every newly computed deterministic outcome to
+/// the single caller-provided persist callback. Because quarantine is decided only from
 /// already-merged (strictly earlier) cells, and a confirmed quarantine is
 /// permanent, the merged outcome vector — and the set of persisted
 /// checkpoints — is byte-identical whatever order attempts arrive in.
@@ -734,10 +555,10 @@ impl CellMerger {
         self.pending[idx] = Some(attempt);
     }
 
-    /// Merges every ready cell in input order, persisting newly computed
-    /// deterministic outcomes through `store` (the single serialized
-    /// writer). Returns the number of cells merged by this call.
-    pub fn merge_ready(&mut self, store: &mut dyn CellStore) -> usize {
+    /// Merges every ready cell in input order, handing newly computed
+    /// deterministic outcomes to `persist(idx, outcome)` (the single
+    /// serialized writer). Returns the number of cells merged by this call.
+    pub fn merge_ready(&mut self, mut persist: impl FnMut(usize, &CellOutcome)) -> usize {
         let mut n = 0;
         while self.merged.len() < self.ids.len() {
             let idx = self.merged.len();
@@ -767,7 +588,7 @@ impl CellMerger {
                         from_store,
                     } => {
                         if !from_store && outcome.is_persistable() {
-                            store.save_outcome(&outcome);
+                            persist(idx, &outcome);
                         }
                         outcome
                     }
@@ -929,8 +750,8 @@ fn evaluate_cell(
 /// table-only predictions against the simulated outcomes.
 ///
 /// Equivalent to [`run_campaign_supervised`] with default supervision and
-/// no checkpoint store: cells are still panic-isolated, so a bad cell
-/// degrades the campaign instead of aborting it.
+/// a fresh memory-only store: cells are still panic-isolated, so a bad
+/// cell degrades the campaign instead of aborting it.
 pub fn run_campaign(
     spec: &ClusterSpec,
     configs: &[IoConfig],
@@ -943,18 +764,14 @@ pub fn run_campaign(
         apps,
         opts,
         &SuperviseOptions::default(),
-        &mut NoStore,
+        &Store::memory(),
     )
 }
 
 /// What a worker learned about one configuration's characterization.
 enum CharAttempt {
-    /// Replayed from the store (never re-persisted).
-    Restored(PerfTableSet),
-    /// Computed this run (already persisted by the worker; checkpoint
-    /// files are independent per configuration, so write order is
-    /// irrelevant to digest stability).
-    Computed(PerfTableSet),
+    /// The table set (measured, or replayed phase by phase from the store).
+    Done(PerfTableSet),
     /// Characterization failed (typed error or panic message).
     Failed(String),
     /// The campaign wall budget was exhausted before this configuration
@@ -964,34 +781,35 @@ enum CharAttempt {
 
 /// Runs a supervised, resumable, optionally parallel campaign.
 ///
-/// Per configuration, the characterization is loaded from `store` when a
-/// valid checkpoint covers every requested level, otherwise computed
-/// (isolated, watchdog-supervised) and checkpointed. Per cell, a
-/// checkpointed outcome is replayed; otherwise the evaluation runs
-/// isolated with bounded retry, and the resulting outcome is checkpointed
-/// when deterministic. A configuration whose characterization fails — or
-/// that accumulates `quarantine_after` consecutive cell failures — is
+/// Per configuration, the characterization runs through `store`: every
+/// measurement phase already stored (in memory, or on disk from an earlier
+/// run) replays, the rest are computed (isolated, watchdog-supervised) and
+/// stored. Per cell, a stored outcome is replayed; otherwise the
+/// evaluation runs isolated with bounded retry, and the resulting outcome
+/// is stored when deterministic (cells persist only when the store has a
+/// checkpoint directory). A configuration whose characterization fails —
+/// or that accumulates `quarantine_after` consecutive cell failures — is
 /// quarantined: its remaining cells are skipped. The campaign always
 /// returns; inspect [`Campaign::is_degraded`] and [`Campaign::outcomes`]
 /// for what survived.
 ///
 /// With `sup.jobs > 1` the independent cells run on a bounded pool of
 /// scoped worker threads. Each worker constructs its own machines (they
-/// are not `Sync`); quarantine/retry state and the store sit behind one
-/// mutex; and every result flows through the input-ordered [`CellMerger`],
-/// so the rendered campaign and the persisted checkpoints are
-/// byte-identical to a `jobs = 1` run. The only permitted divergence is
-/// wasted work: a worker may *evaluate* a cell that merge-order quarantine
-/// then discards (recorded as `Skipped`, never persisted), and may read
-/// the store for such a cell; outputs never differ. Wall-budget skips
-/// remain host-dependent in either mode and are never persisted.
+/// are not `Sync`); quarantine/retry state sits behind one mutex; and
+/// every result flows through the input-ordered [`CellMerger`], so the
+/// rendered campaign and the persisted checkpoints are byte-identical to a
+/// `jobs = 1` run. The only permitted divergence is wasted work: a worker
+/// may *evaluate* a cell that merge-order quarantine then discards
+/// (recorded as `Skipped`, never persisted), and may read the store for
+/// such a cell; outputs never differ. Wall-budget skips remain
+/// host-dependent in either mode and are never persisted.
 pub fn run_campaign_supervised(
     spec: &ClusterSpec,
     configs: &[IoConfig],
     apps: &[AppFactory<'_>],
     opts: &CharacterizeOptions,
     sup: &SuperviseOptions,
-    store: &mut (dyn CellStore + Send),
+    store: &Store,
 ) -> Campaign {
     let started = Instant::now();
     let over_budget = || {
@@ -1006,63 +824,20 @@ pub fn run_campaign_supervised(
         copts.watchdog = sup.watchdog.clone();
     }
 
-    // Phase 1: characterize (or restore) every configuration. Each
-    // configuration is independent, so the pool fans out over them; the
-    // input-order merge below rebuilds the exact sequential bookkeeping.
+    // Phase 1: characterize every configuration. Each configuration is
+    // independent, so the pool fans out over them; the input-order merge
+    // below rebuilds the exact sequential bookkeeping.
     let char_attempts: Vec<Option<CharAttempt>> = {
         let slots: Mutex<Vec<Option<CharAttempt>>> =
             Mutex::new((0..configs.len()).map(|_| None).collect());
-        let store_mx: Mutex<&mut (dyn CellStore + Send)> = Mutex::new(store);
         for_each_cell(configs.len(), sup.jobs, &|ci| {
-            let config = &configs[ci];
             let attempt = if over_budget() {
                 CharAttempt::Budget
             } else {
-                // A checkpointed characterization is only trusted when it
-                // covers every requested level; a partial or stale one is
-                // recomputed.
-                let restored = store_mx
-                    .lock()
-                    .expect("store lock")
-                    .load_tables(&spec.name, &config.name)
-                    .filter(|t| opts.levels.iter().all(|&l| t.get(l).is_some()));
-                match restored {
-                    Some(t) => CharAttempt::Restored(t),
-                    None => {
-                        // The memo replays a previously computed identical
-                        // point; a hit still checkpoints, so the store ends
-                        // up byte-identical to a memo-less run.
-                        let memo_key = sup
-                            .memo
-                            .as_deref()
-                            .map(|m| (m, CharactMemo::key(spec, config, &copts)));
-                        let replayed = memo_key.and_then(|(m, k)| m.get(k));
-                        match replayed {
-                            Some(t) => {
-                                store_mx.lock().expect("store lock").save_tables(&t);
-                                CharAttempt::Computed(t)
-                            }
-                            None => {
-                                // Whole-triple miss: compute, consulting the
-                                // phase memo so points shared with earlier
-                                // (differently keyed) sweeps still replay.
-                                let phase_memo = sup.memo.as_deref();
-                                match run_isolated(|| {
-                                    characterize_system_memo(spec, config, &copts, phase_memo)
-                                }) {
-                                    Ok(Ok(t)) => {
-                                        store_mx.lock().expect("store lock").save_tables(&t);
-                                        if let Some((m, k)) = memo_key {
-                                            m.put(k, t.clone());
-                                        }
-                                        CharAttempt::Computed(t)
-                                    }
-                                    Ok(Err(e)) => CharAttempt::Failed(e.to_string()),
-                                    Err(panic) => CharAttempt::Failed(format!("panic: {panic}")),
-                                }
-                            }
-                        }
-                    }
+                match run_isolated(|| characterize_system_memo(spec, &configs[ci], &copts, store)) {
+                    Ok(Ok(t)) => CharAttempt::Done(t),
+                    Ok(Err(e)) => CharAttempt::Failed(e.to_string()),
+                    Err(panic) => CharAttempt::Failed(format!("panic: {panic}")),
                 }
             };
             slots.lock().expect("slot lock")[ci] = Some(attempt);
@@ -1076,7 +851,7 @@ pub fn run_campaign_supervised(
     let mut quarantined: Vec<Option<String>> = vec![None; configs.len()];
     for (ci, attempt) in char_attempts.into_iter().enumerate() {
         match attempt.expect("every config characterized") {
-            CharAttempt::Restored(t) | CharAttempt::Computed(t) => {
+            CharAttempt::Done(t) => {
                 table_of.push(Some(tables.len()));
                 tables.push(t);
             }
@@ -1092,61 +867,84 @@ pub fn run_campaign_supervised(
         }
     }
 
+    // Cell keys: the inputs shaping a cell outcome are the configuration's
+    // (machine, sweep, evaluation policy) plus the app label. The
+    // per-configuration part is digested once, and only when cells can be
+    // stored at all: without a checkpoint directory nothing per cell is
+    // formatted or hashed.
+    let config_digests: Option<Vec<u64>> = store.holds(Kind::Cell).then(|| {
+        configs
+            .iter()
+            .map(|config| {
+                let inputs = (
+                    spec,
+                    config,
+                    &copts,
+                    &sup.watchdog,
+                    &sup.cell_faults,
+                    sup.max_retries,
+                );
+                crate::store::digest(&inputs)
+            })
+            .collect()
+    });
+    let cell_key = |idx: usize| {
+        let digests = config_digests.as_ref()?;
+        let app = apps[idx / configs.len()].0;
+        Some(Key::of(Kind::Cell, &(digests[idx % configs.len()], app)))
+    };
+
     // Phase 3: evaluate every (application × configuration) cell,
-    // application-major. Workers pull cells from a shared counter; every
-    // store access and all quarantine state sit behind one mutex; the
-    // merger replays results in input order (see `CellMerger`), so the
-    // parallel output is byte-identical to the sequential one.
-    struct Coord<'s> {
-        merger: CellMerger,
-        store: &'s mut (dyn CellStore + Send),
-    }
+    // application-major. Workers pull cells from a shared counter; all
+    // quarantine state sits behind one mutex; the merger replays results
+    // in input order (see `CellMerger`), so the parallel output is
+    // byte-identical to the sequential one.
     let app_names: Vec<&str> = apps.iter().map(|(n, _)| *n).collect();
     let config_names: Vec<&str> = configs.iter().map(|c| c.name.as_str()).collect();
     let merger = CellMerger::new(&app_names, &config_names, quarantined, sup.quarantine_after);
     let total = merger.total();
-    let coord = Mutex::new(Coord { merger, store });
+    let merger = Mutex::new(merger);
     for_each_cell(total, sup.jobs, &|idx| {
         let (ai, ci) = (idx / configs.len(), idx % configs.len());
         let (app, factory) = apps[ai];
         let config = &configs[ci];
         let cfg = config.name.as_str();
-        // Dispatch-time checks and the store read share the coordination
-        // lock, so replayed outcomes and quarantine observations are
-        // consistent with the merge order.
         let early = {
-            let mut c = coord.lock().expect("coord lock");
-            if let Some(reason) = c.merger.quarantine_reason(ci) {
-                Some(CellAttempt::NotRun {
-                    reason: reason.to_string(),
-                })
+            let m = merger.lock().expect("merger lock");
+            if let Some(reason) = m.quarantine_reason(ci) {
+                Some(reason.to_string())
             } else if over_budget() {
-                Some(CellAttempt::NotRun {
-                    reason: BUDGET_REASON.to_string(),
-                })
+                Some(BUDGET_REASON.to_string())
             } else {
-                c.store
-                    .load_outcome(app, cfg)
-                    .map(|stored| CellAttempt::Ran {
-                        outcome: stored,
-                        from_store: true,
-                    })
+                None
             }
         };
-        let attempt = early.unwrap_or_else(|| {
-            let tset = &tables[table_of[ci].expect("non-quarantined configs are characterized")];
-            CellAttempt::Ran {
-                outcome: evaluate_cell(spec, config, factory, tset, sup, app, cfg),
-                from_store: false,
+        let attempt = match early {
+            Some(reason) => CellAttempt::NotRun { reason },
+            None => match cell_key(idx).and_then(|k| store.get::<CellOutcome>(k)) {
+                Some(stored) => CellAttempt::Ran {
+                    outcome: stored,
+                    from_store: true,
+                },
+                None => {
+                    let tset =
+                        &tables[table_of[ci].expect("non-quarantined configs are characterized")];
+                    CellAttempt::Ran {
+                        outcome: evaluate_cell(spec, config, factory, tset, sup, app, cfg),
+                        from_store: false,
+                    }
+                }
+            },
+        };
+        let mut m = merger.lock().expect("merger lock");
+        m.offer(idx, attempt);
+        m.merge_ready(|i, outcome| {
+            if let Some(k) = cell_key(i) {
+                store.put(k, outcome);
             }
         });
-        let mut c = coord.lock().expect("coord lock");
-        let Coord { merger, store } = &mut *c;
-        merger.offer(idx, attempt);
-        merger.merge_ready(*store);
     });
-    let Coord { merger, store } = coord.into_inner().expect("workers joined");
-    let outcomes = merger.finish();
+    let outcomes = merger.into_inner().expect("workers joined").finish();
     let store_health = store.health();
 
     let cells = outcomes
@@ -1192,6 +990,27 @@ mod tests {
             .with_dumps(3)
             .gflops(20.0)
             .scenario()
+    }
+
+    fn scratch(name: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("ioeval-campaign-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// `(file name, bytes)` of every file in `dir`, sorted by name.
+    fn dir_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .expect("store dir")
+            .map(|e| {
+                let e = e.expect("dir entry");
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(e.path()).expect("readable"))
+            })
+            .collect();
+        files.sort();
+        files
     }
 
     fn quick_campaign() -> Campaign {
@@ -1287,7 +1106,7 @@ mod tests {
             &apps,
             &CharacterizeOptions::quick(),
             &sup,
-            &mut NoStore,
+            &Store::memory(),
         );
         assert!(c.is_degraded());
         assert_eq!(c.outcomes.len(), 3);
@@ -1347,7 +1166,7 @@ mod tests {
             &apps,
             &CharacterizeOptions::quick(),
             &sup,
-            &mut NoStore,
+            &Store::memory(),
         );
         match &c.outcomes[0] {
             CellOutcome::Failed {
@@ -1400,15 +1219,24 @@ mod tests {
         let opts = CharacterizeOptions::quick();
         let sup = SuperviseOptions::default();
 
-        let mut store = MemStore::new();
-        let first = run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, &mut store);
-        assert_eq!(store.outcome_count(), 2);
-        assert_eq!(store.table_hits, 0);
-        assert_eq!(store.outcome_hits, 0);
+        let dir = scratch("resume");
+        let store = Store::open(&dir).unwrap();
+        let first = run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, &store);
+        assert_eq!(store.kind_stats(Kind::Cell), (0, 2), "both cells computed");
+        let (_, phases) = store.kind_stats(Kind::Phase);
+        assert!(phases > 0, "a cold store measures every phase");
 
-        let resumed = run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, &mut store);
-        assert_eq!(store.table_hits, 2, "characterizations restored");
-        assert_eq!(store.outcome_hits, 2, "outcomes replayed");
+        // A fresh store over the same directory: the in-process state is
+        // gone, the checkpoints are not.
+        let store = Store::open(&dir).unwrap();
+        let resumed = run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, &store);
+        assert_eq!(
+            store.kind_stats(Kind::Phase),
+            (phases, 0),
+            "no phase simulated"
+        );
+        assert_eq!(store.kind_stats(Kind::Cell), (2, 0), "outcomes replayed");
+        let _ = std::fs::remove_dir_all(&dir);
         assert_eq!(
             first.render(),
             resumed.render(),
@@ -1438,7 +1266,7 @@ mod tests {
             &apps,
             &CharacterizeOptions::quick(),
             &sup,
-            &mut NoStore,
+            &Store::memory(),
         );
         assert_eq!(c.outcomes.len(), 3);
         assert!(matches!(
@@ -1466,7 +1294,7 @@ mod tests {
             &apps,
             &CharacterizeOptions::quick(),
             &sup,
-            &mut NoStore,
+            &Store::memory(),
         );
         assert!(c.cells.is_empty());
         assert!(c.outcomes.iter().all(
@@ -1497,13 +1325,11 @@ mod tests {
                 ..SuperviseOptions::default()
             }
             .with_jobs(jobs);
-            let mut store = MemStore::new();
-            let c = run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, &mut store);
-            let persisted: Vec<String> = ["btio-full", "bad-app", "btio-late"]
-                .iter()
-                .flat_map(|app| store.outcomes_for(app))
-                .map(|o| serde_json::to_string(o).expect("outcome serializes"))
-                .collect();
+            let dir = scratch(&format!("jobs-{jobs}"));
+            let store = Store::open(&dir).unwrap();
+            let c = run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, &store);
+            let persisted = dir_files(&dir);
+            let _ = std::fs::remove_dir_all(&dir);
             (c.render(), persisted)
         };
         let (seq_render, seq_persisted) = run(1);
@@ -1534,7 +1360,7 @@ mod tests {
                 ..SuperviseOptions::default()
             }
             .with_jobs(jobs);
-            let c = run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, &mut NoStore);
+            let c = run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, &Store::memory());
             assert_eq!(c.cells.len(), hub.len(), "one hub entry per cell");
             crate::obs::render_obs_metrics(&hub.aggregate(), simcore::Time::from_secs(1))
         };
@@ -1563,7 +1389,7 @@ mod tests {
             let sup = SuperviseOptions::default()
                 .with_jobs(jobs)
                 .with_cell_faults(policy.clone());
-            run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, &mut NoStore).render()
+            run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, &Store::memory()).render()
         };
         assert_eq!(
             run(1),

@@ -12,8 +12,8 @@
 //! *Application side*: run the application once with a [`ProfileSink`]
 //! attached and collect its [`AppProfile`].
 
-use crate::memo::CharactMemo;
 use crate::perf_table::{AccessMode, IoLevel, OpType, PerfRow, PerfTable, PerfTableSet};
+use crate::store::{Key, Kind, Store};
 use crate::trace::{AppProfile, ProfileSink};
 use cluster::{ClusterMachine, ClusterSpec, ConfigError, IoConfig, Mount};
 use fs::FileId;
@@ -206,13 +206,16 @@ fn iozone_pattern(op: OpType, mode: AccessMode) -> IozonePattern {
     }
 }
 
-/// Characterizes one filesystem level with the IOzone sweep.
+/// Characterizes one filesystem level with the IOzone sweep. `machine` is
+/// the digest of everything the sweep's points share (see
+/// [`characterize_system_memo`]).
 fn characterize_fs_level(
     spec: &ClusterSpec,
     config: &IoConfig,
     opts: &CharacterizeOptions,
     level: IoLevel,
-    memo: Option<&CharactMemo>,
+    machine: u64,
+    store: &Store,
 ) -> Result<PerfTable, CharactError> {
     let mount = match level {
         IoLevel::LocalFs => Mount::ServerLocal,
@@ -240,13 +243,12 @@ fn characterize_fs_level(
         for &mode in &opts.modes {
             for op in [OpType::Write, OpType::Read] {
                 // The phase key names everything that shapes this one
-                // measurement: the machine, the point, and the watchdog
-                // budget (an aborted sweep must not alias a finished one).
-                let key = CharactMemo::phase_key(&format!(
-                    "fs|{spec:?}|{config:?}|{level:?}|{mode:?}|{op:?}|record={record}|file={file_size}|wd={:?}",
-                    opts.watchdog
-                ));
-                if let Some(row) = memo.and_then(|m| m.phase_get(key)) {
+                // measurement: the machine and the point.
+                let key = Key::of(
+                    Kind::Phase,
+                    &("fs", machine, level, mode, op, record, file_size),
+                );
+                if let Some(row) = store.get(key) {
                     table.insert(row);
                     continue;
                 }
@@ -263,9 +265,7 @@ fn characterize_fs_level(
                     iops,
                     latency,
                 };
-                if let Some(m) = memo {
-                    m.phase_put(key, row);
-                }
+                store.put(key, &row);
                 table.insert(row);
             }
         }
@@ -278,16 +278,17 @@ fn characterize_library_level(
     spec: &ClusterSpec,
     config: &IoConfig,
     opts: &CharacterizeOptions,
-    memo: Option<&CharactMemo>,
+    machine: u64,
+    store: &Store,
 ) -> Result<PerfTable, CharactError> {
     let mut table = PerfTable::new();
     for &block in &opts.ior_blocks {
         for op in [OpType::Write, OpType::Read] {
-            let key = CharactMemo::phase_key(&format!(
-                "lib|{spec:?}|{config:?}|{op:?}|block={block}|ranks={}|transfer={}|wd={:?}",
-                opts.ior_ranks, opts.ior_transfer, opts.watchdog
-            ));
-            if let Some(row) = memo.and_then(|m| m.phase_get(key)) {
+            let key = Key::of(
+                Kind::Phase,
+                &("lib", machine, op, block, opts.ior_ranks, opts.ior_transfer),
+            );
+            if let Some(row) = store.get(key) {
                 table.insert(row);
                 continue;
             }
@@ -322,9 +323,7 @@ fn characterize_library_level(
                 iops,
                 latency,
             };
-            if let Some(m) = memo {
-                m.phase_put(key, row);
-            }
+            store.put(key, &row);
             table.insert(row);
         }
     }
@@ -338,27 +337,32 @@ pub fn characterize_system(
     config: &IoConfig,
     opts: &CharacterizeOptions,
 ) -> Result<PerfTableSet, CharactError> {
-    characterize_system_memo(spec, config, opts, None)
+    characterize_system_memo(spec, config, opts, &Store::memory())
 }
 
 /// [`characterize_system`] with phase-granular memoization: each
-/// `(workload, point)` measurement consults `memo` before simulating and
-/// stores its row after. A memo hit replays the exact row a recomputation
-/// would produce (digest-verified on load), so memoized and fresh
+/// `(workload, point)` measurement consults `store` before simulating and
+/// stores its row after. A hit replays the exact row a recomputation would
+/// produce (digest-verified on load), so memoized and fresh
 /// characterizations render byte-identically — including across sweeps
-/// that only partially overlap, where the whole-triple cache misses.
+/// that only partially overlap, which share the points they have in
+/// common.
 pub fn characterize_system_memo(
     spec: &ClusterSpec,
     config: &IoConfig,
     opts: &CharacterizeOptions,
-    memo: Option<&CharactMemo>,
+    store: &Store,
 ) -> Result<PerfTableSet, CharactError> {
+    // What every point of the sweep shares — the machine and the watchdog
+    // budget (an aborted sweep must not alias a finished one) — digested
+    // once instead of once per phase.
+    let machine = crate::store::digest(&(spec, config, &opts.watchdog));
     let mut set = PerfTableSet::new(spec.name.clone(), config.name.clone());
     for &level in &opts.levels {
         let table = match level {
-            IoLevel::Library => characterize_library_level(spec, config, opts, memo)?,
+            IoLevel::Library => characterize_library_level(spec, config, opts, machine, store)?,
             IoLevel::GlobalFs | IoLevel::LocalFs => {
-                characterize_fs_level(spec, config, opts, level, memo)?
+                characterize_fs_level(spec, config, opts, level, machine, store)?
             }
             // The metadata path is rate-characterized by the mdtest
             // workloads, not the IOzone/IOR bandwidth sweep.
@@ -487,13 +491,13 @@ mod tests {
         let opts = CharacterizeOptions::quick();
         let fresh = characterize_system(&spec, &config, &opts).unwrap();
 
-        let memo = crate::memo::CharactMemo::new();
-        let first = characterize_system_memo(&spec, &config, &opts, Some(&memo)).unwrap();
-        let (h0, m0) = memo.phase_stats();
-        assert_eq!(h0, 0, "cold memo cannot hit");
-        assert!(m0 > 0, "every point is a phase miss on a cold memo");
-        let warm = characterize_system_memo(&spec, &config, &opts, Some(&memo)).unwrap();
-        let (h1, m1) = memo.phase_stats();
+        let store = Store::memory();
+        let first = characterize_system_memo(&spec, &config, &opts, &store).unwrap();
+        let (h0, m0) = store.kind_stats(Kind::Phase);
+        assert_eq!(h0, 0, "cold store cannot hit");
+        assert!(m0 > 0, "every point is a phase miss on a cold store");
+        let warm = characterize_system_memo(&spec, &config, &opts, &store).unwrap();
+        let (h1, m1) = store.kind_stats(Kind::Phase);
         assert_eq!(h1, m0, "warm rerun must replay every point");
         assert_eq!(m1, m0);
 
@@ -504,22 +508,21 @@ mod tests {
     #[test]
     fn partially_overlapping_sweeps_share_phases() {
         let (spec, config) = quick_setup();
-        let memo = crate::memo::CharactMemo::new();
+        let store = Store::memory();
         let narrow = CharacterizeOptions::quick();
-        characterize_system_memo(&spec, &config, &narrow, Some(&memo)).unwrap();
-        let (_, misses) = memo.phase_stats();
+        characterize_system_memo(&spec, &config, &narrow, &store).unwrap();
+        let (_, misses) = store.kind_stats(Kind::Phase);
 
         // A wider sweep sharing the narrow one's points: the shared points
-        // replay (whole-triple keys would differ, phase keys match), only
-        // the new block pays a simulation.
+        // replay, only the new block pays a simulation.
         let mut wide = CharacterizeOptions::quick();
         wide.ior_blocks = vec![2 * MIB, 4 * MIB];
-        let set = characterize_system_memo(&spec, &config, &wide, Some(&memo)).unwrap();
-        let (hits2, misses2) = memo.phase_stats();
+        let set = characterize_system_memo(&spec, &config, &wide, &store).unwrap();
+        let (hits2, misses2) = store.kind_stats(Kind::Phase);
         assert_eq!(hits2, misses, "every shared point must be a phase hit");
         assert_eq!(misses2 - misses, 2, "only the new block's two ops run");
 
-        // And the memo-assisted wide sweep matches a fresh wide sweep.
+        // And the store-assisted wide sweep matches a fresh wide sweep.
         let fresh = characterize_system(&spec, &config, &wide).unwrap();
         assert_eq!(fresh.to_json(), set.to_json());
     }

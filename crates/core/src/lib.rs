@@ -29,27 +29,28 @@
 pub mod advisor;
 pub mod campaign;
 pub mod charact;
+pub mod checkpoint;
 pub mod eval;
-pub mod memo;
 pub mod obs;
 pub mod perf_table;
 pub mod report;
+pub mod store;
 pub mod supervise;
 pub mod trace;
 
 pub use advisor::{predict, rank_configs, Prediction};
 pub use campaign::{
     run_campaign, run_campaign_supervised, Campaign, CampaignCell, CellAttempt, CellFaultPolicy,
-    CellMerger, CellOutcome, CellStore, MemStore, NoStore, StoreHealth, SuperviseOptions,
+    CellMerger, CellOutcome, SuperviseOptions,
 };
 pub use charact::{
     characterize_app, characterize_system, characterize_system_memo, require_level, CharactError,
     CharacterizeOptions,
 };
 pub use eval::{evaluate, EvalError, EvalOptions, EvalReport, FaultScenario, UsageRow};
-pub use memo::CharactMemo;
 pub use obs::{Collector, MetricsHub, ObsData, ObsMetrics, TraceMeta};
 pub use perf_table::{AccessMode, AccessType, IoLevel, OpType, PerfRow, PerfTable, PerfTableSet};
 pub use report::render_resilience_table;
+pub use store::{Key, Kind, Store, StoreHealth};
 pub use supervise::run_isolated;
 pub use trace::{AppProfile, PhaseReport, ProfileSink};

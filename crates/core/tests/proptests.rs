@@ -1,11 +1,10 @@
 //! Property tests of the Fig. 11 search rule, usage arithmetic, and the
 //! parallel campaign's deterministic merge.
 
-use ioeval_core::campaign::{
-    run_campaign, AppFactory, CellAttempt, CellMerger, CellOutcome, CellStore, MemStore,
-};
+use ioeval_core::campaign::{run_campaign, AppFactory, CellAttempt, CellMerger, CellOutcome};
 use ioeval_core::charact::CharacterizeOptions;
 use ioeval_core::perf_table::{AccessMode, AccessType, OpType, PerfRow, PerfTable};
+use ioeval_core::store::{Key, Kind, Store};
 use proptest::prelude::*;
 use simcore::{Bandwidth, Time};
 use std::sync::OnceLock;
@@ -155,6 +154,20 @@ fn attempt_for(idx: usize, code: u8) -> CellAttempt {
     }
 }
 
+/// A checkpoint-backed store in a fresh temp directory (removed by the
+/// caller), so merged cells persist exactly as a campaign's do.
+fn temp_store() -> (Store, std::path::PathBuf) {
+    static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("ioeval-merge-{}-{n}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    (Store::open(&dir).expect("open temp store"), dir)
+}
+
+fn cell_key(idx: usize) -> Key {
+    Key::of(Kind::Cell, &idx)
+}
+
 /// Offers every cell in `order`, merging after each offer, and returns the
 /// merged outcomes plus everything the store persisted.
 fn merge_in_order(
@@ -164,21 +177,21 @@ fn merge_in_order(
 ) -> (Vec<String>, Vec<String>) {
     let quarantined = vec![None; CONFIGS.len()];
     let mut merger = CellMerger::new(&APPS, &CONFIGS, quarantined, quarantine_after);
-    let mut store = MemStore::new();
+    let (store, dir) = temp_store();
     for &idx in order {
         merger.offer(idx, attempt_for(idx, codes[idx]));
-        merger.merge_ready(&mut store);
+        merger.merge_ready(|i, o| store.put(cell_key(i), o));
     }
-    let outcomes = merger
+    let outcomes: Vec<String> = merger
         .finish()
         .iter()
         .map(|o| serde_json::to_string(o).expect("outcome serializes"))
         .collect();
-    let persisted = APPS
-        .iter()
-        .flat_map(|app| store.outcomes_for(app))
-        .map(|o| serde_json::to_string(o).expect("outcome serializes"))
+    let persisted = (0..outcomes.len())
+        .filter_map(|idx| store.get::<CellOutcome>(cell_key(idx)))
+        .map(|o| serde_json::to_string(&o).expect("outcome serializes"))
         .collect();
+    let _ = std::fs::remove_dir_all(&dir);
     (outcomes, persisted)
 }
 
@@ -222,10 +235,10 @@ proptest! {
 
         let quarantined = vec![None; CONFIGS.len()];
         let mut merger = CellMerger::new(&APPS, &CONFIGS, quarantined, 1);
-        let mut store = MemStore::new();
+        let (store, dir) = temp_store();
         for &idx in &order {
             merger.offer(idx, attempt_for(idx, codes[idx]));
-            merger.merge_ready(&mut store);
+            merger.merge_ready(|i, o| store.put(cell_key(i), o));
         }
         let outcomes = merger.finish();
 
@@ -239,7 +252,7 @@ proptest! {
                     "cell {idx} after quarantine must be Skipped, got {outcome:?}"
                 );
                 prop_assert!(
-                    store.load_outcome(APPS[idx / CONFIGS.len()], CONFIGS[ci]).is_none(),
+                    store.get::<CellOutcome>(cell_key(idx)).is_none(),
                     "skipped cell {idx} must not be persisted"
                 );
             }
@@ -247,5 +260,6 @@ proptest! {
                 poisoned[ci] = true; // quarantine_after = 1
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -568,12 +568,7 @@ impl PfsSystem {
     /// the shard lives `r` places after the home in ring order, mirroring
     /// the data path's chained-declustered placement.
     pub fn meta_home(&self, dir: FileId) -> usize {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in dir.0.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        (h % self.servers.len() as u64) as usize
+        (simcore::fnv1a64(&dir.0.to_le_bytes()) % self.servers.len() as u64) as usize
     }
 
     /// One mdtest-class metadata verb against `dir`'s namespace shard.

@@ -211,15 +211,10 @@ impl StreamSignature {
     /// (generator name plus every rank-independent parameter) and the op
     /// count. The description must *not* include rank-indexed values.
     pub fn from_shape(shape: &str, ops: u64) -> StreamSignature {
-        // FNV-1a: stable, dependency-free, collision-safe enough for the
-        // handful of distinct program shapes alive in one run.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in shape.as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        // FNV-1a: stable, collision-safe enough for the handful of
+        // distinct program shapes alive in one run.
         StreamSignature {
-            fingerprint: h,
+            fingerprint: simcore::fnv1a64(shape.as_bytes()),
             ops,
         }
     }

@@ -90,6 +90,19 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// A `HashSet` using [`FxHasher64`].
 pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
 
+/// 64-bit FNV-1a over a byte string: the one stable digest behind content
+/// keys, checkpoint integrity, grammar and stream identity, and seed
+/// derivation. Stable across hosts and runs; integrity, not
+/// authentication.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

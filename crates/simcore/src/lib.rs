@@ -35,7 +35,7 @@ pub mod time;
 
 pub use chaos::{ChaosAction, ChaosProfile, ChaosSite, HostFaultPlan};
 pub use faults::{Fault, FaultEvent, FaultProfile, FaultSchedule, NetClass};
-pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher64};
+pub use hash::{fnv1a64, FxBuildHasher, FxHashMap, FxHashSet, FxHasher64};
 pub use progress::{Abort, Watchdog, WatchdogSpec};
 pub use queue::{EventHandle, EventQueue};
 pub use resource::{FifoResource, MultiResource};

@@ -16,15 +16,8 @@ use serde::{Deserialize, Serialize};
 /// landed. That is what keeps parallel campaigns byte-identical to
 /// sequential ones.
 pub fn seed_for(base: u64, label: &str) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for b in label.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
     // One SplitMix64 scramble so base and label both diffuse into every bit.
-    SplitMix64::new(base ^ h).next_u64()
+    SplitMix64::new(base ^ crate::hash::fnv1a64(label.as_bytes())).next_u64()
 }
 
 /// The SplitMix64 generator (Steele, Lea & Flood; public domain algorithm).

@@ -30,4 +30,4 @@ pub use disk::{Disk, DiskParams, SeqRunGrant};
 pub use inline::InlineVec;
 pub use raid::{Jbod, Raid0, Raid1, Raid5};
 pub use req::{BlockOp, BlockReq, IoGrant};
-pub use volume::{fast_path, RebuildReport, Volume, VolumeError, VolumeMeter};
+pub use volume::{RebuildReport, Volume, VolumeError, VolumeMeter};

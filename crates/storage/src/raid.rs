@@ -21,7 +21,7 @@
 use crate::disk::Disk;
 use crate::inline::InlineVec;
 use crate::req::{BlockOp, BlockReq, IoGrant};
-use crate::volume::{fast_path, RebuildReport, Volume, VolumeError, VolumeMeter};
+use crate::volume::{RebuildReport, Volume, VolumeError, VolumeMeter};
 use simcore::Time;
 
 /// Member-local bytes reconstructed per background rebuild pass.
@@ -305,8 +305,7 @@ impl Volume for Jbod {
 
     fn try_bulk_run(&mut self, now: Time, req: BlockReq, chunk: u64) -> Option<IoGrant> {
         let full = req.len / chunk;
-        let ok = fast_path::bulk_enabled()
-            && self.bulk_enabled
+        let ok = self.bulk_enabled
             && full >= 2
             && self.disk.slow_factor() == 1.0
             && horizon_allows(
@@ -507,8 +506,7 @@ impl Volume for Raid0 {
         let width = n * self.stripe;
         let full = req.len / chunk;
         let piece = chunk / n;
-        let ok = fast_path::bulk_enabled()
-            && self.bulk_enabled
+        let ok = self.bulk_enabled
             && full >= 2
             && req.offset.is_multiple_of(width)
             && chunk.is_multiple_of(width)
@@ -765,8 +763,7 @@ impl Volume for Raid1 {
 
     fn try_bulk_run(&mut self, now: Time, req: BlockReq, chunk: u64) -> Option<IoGrant> {
         let full = req.len / chunk;
-        let ok = fast_path::bulk_enabled()
-            && self.bulk_enabled
+        let ok = self.bulk_enabled
             && req.op.is_write()
             && full >= 2
             && self.failed.is_none()
@@ -1252,8 +1249,7 @@ impl Volume for Raid5 {
         // A row-multiple chunk lands `chunk / rw` full rows — `stripe`
         // bytes per row — on every member, parity included.
         let piece = (chunk / rw) * self.stripe;
-        let ok = fast_path::bulk_enabled()
-            && self.bulk_enabled
+        let ok = self.bulk_enabled
             && req.op.is_write()
             && full >= 2
             && chunk.is_multiple_of(rw)
@@ -1945,20 +1941,9 @@ mod tests {
         }
     }
 
-    /// Serializes tests that read or flip the process-wide fast-path
-    /// switch, so the hit-counter assertions cannot race the switch test.
-    static FAST_PATH_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn fast_path_guard() -> std::sync::MutexGuard<'static, ()> {
-        FAST_PATH_LOCK
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     /// Runs the same chunked workload through a bulk-enabled and a
     /// bulk-disabled twin and asserts every observable is identical.
     fn assert_bulk_equivalence<V: Volume>(mut bulk: V, mut granular: V, reqs: &[(BlockReq, u64)]) {
-        let _guard = fast_path_guard();
         bulk.set_bulk_enabled(true);
         granular.set_bulk_enabled(false);
         let mut now = Time::ZERO;
@@ -2057,7 +2042,6 @@ mod tests {
 
     #[test]
     fn bulk_run_respects_the_fault_horizon() {
-        let _guard = fast_path_guard();
         let rw = 4 * STRIPE;
         let mut near = Raid5::new(disks(5), STRIPE, true);
         let mut far = Raid5::new(disks(5), STRIPE, true);
@@ -2075,17 +2059,16 @@ mod tests {
     }
 
     #[test]
-    fn global_fast_path_switch_gates_the_closed_form() {
-        let _guard = fast_path_guard();
+    fn bulk_toggle_gates_the_closed_form() {
         let mut r = Jbod::new(disk(3));
-        fast_path::set_bulk_enabled(false);
+        r.set_bulk_enabled(false);
         r.submit_run(Time::ZERO, BlockReq::write(0, 16 * MIB), MIB);
-        fast_path::set_bulk_enabled(true);
+        r.set_bulk_enabled(true);
         let t = r.flush(Time::ZERO);
         r.submit_run(t, BlockReq::write(16 * MIB, 16 * MIB), MIB);
         let (hits, misses) = r.bulk_run_stats();
-        assert_eq!(hits, 1, "re-enabled switch must restore the fast path");
-        assert!(misses >= 1, "disabled switch must force the granular path");
+        assert_eq!(hits, 1, "re-enabled toggle must restore the fast path");
+        assert!(misses >= 1, "disabled toggle must force the granular path");
     }
 
     #[test]

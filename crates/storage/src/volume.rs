@@ -6,29 +6,6 @@ use simcore::stats::TransferMeter;
 use simcore::Time;
 use std::fmt;
 
-/// Process-wide switch for the bulk-transfer fast path.
-///
-/// The fast path is provably result-identical to the event-granular chunk
-/// loop (see the equivalence property tests), so this switch only trades
-/// wall-clock speed — it exists as a diagnostic escape hatch and so the
-/// harness can measure both paths. Relaxed ordering is sufficient: a racing
-/// reader takes one path or the other, and both produce the same grants.
-pub mod fast_path {
-    use std::sync::atomic::{AtomicBool, Ordering};
-
-    static BULK_ENABLED: AtomicBool = AtomicBool::new(true);
-
-    /// Enables or disables the closed-form bulk path process-wide.
-    pub fn set_bulk_enabled(on: bool) {
-        BULK_ENABLED.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether the closed-form bulk path may be taken.
-    pub fn bulk_enabled() -> bool {
-        BULK_ENABLED.load(Ordering::Relaxed)
-    }
-}
-
 /// Typed errors for volume configuration and fault operations.
 ///
 /// Configuration mistakes (too few members, zero stripe) and fault

@@ -78,18 +78,7 @@ pub fn source_digest(src: &str) -> u64 {
         .filter(|l| !l.trim().is_empty())
         .map(|l| l.split_whitespace().collect::<Vec<_>>().join(" ") + "\n")
         .collect();
-    fnv64(&normalized)
-}
-
-/// FNV-1a over a string — the digest used for grammar and variant
-/// identity (stable across hosts and runs).
-fn fnv64(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    simcore::fnv1a64(normalized.as_bytes())
 }
 
 /// A typed grammar error: parse failures and semantic violations, with
@@ -636,7 +625,7 @@ impl Grammar {
             files: Arc::new(files),
             digest: 0,
         };
-        v.digest = fnv64(&v.describe_body());
+        v.digest = simcore::fnv1a64(v.describe_body().as_bytes());
         v
     }
 

@@ -5,7 +5,9 @@
 # from the same checkpoint directory, and diffs the resumed output against
 # an uninterrupted clean run. The two must be byte-identical: checkpoints
 # are digest-verified and only deterministic artifacts persist, so a kill
-# at any point costs at most the cell in flight.
+# at any point costs at most the cell in flight. Then checks that a
+# checkpoint written under one --pfs-profile is not replayed under
+# another: checkpoints are keyed by every input, so the resume recomputes.
 #
 # Usage: scripts/kill_resume_smoke.sh [path-to-repro-binary]
 set -euo pipefail
@@ -20,10 +22,10 @@ if [[ ! -x "$REPRO" ]]; then
     cargo build --release -p bench --bin repro
 fi
 
-echo "== 1/3 clean reference run ==" >&2
+echo "== 1/4 clean reference run ==" >&2
 "$REPRO" --scale quick --out "$WORK/clean.txt" "${EXPERIMENTS[@]}" >/dev/null
 
-echo "== 2/3 checkpointed run, killed mid-campaign ==" >&2
+echo "== 2/4 checkpointed run, killed mid-campaign ==" >&2
 "$REPRO" --scale quick --checkpoint "$WORK/ckpt" \
     --out "$WORK/interrupted.txt" "${EXPERIMENTS[@]}" >/dev/null 2>"$WORK/run1.log" &
 PID=$!
@@ -49,7 +51,7 @@ else
     echo "   run finished before the kill; resume will replay from checkpoints" >&2
 fi
 
-echo "== 3/3 resume from checkpoint ==" >&2
+echo "== 3/4 resume from checkpoint ==" >&2
 "$REPRO" --scale quick --resume "$WORK/ckpt" \
     --out "$WORK/resumed.txt" "${EXPERIMENTS[@]}" >/dev/null
 
@@ -58,4 +60,22 @@ if ! diff -u "$WORK/clean.txt" "$WORK/resumed.txt" >"$WORK/diff.txt"; then
     head -50 "$WORK/diff.txt" >&2
     exit 1
 fi
-echo "OK: resumed output is byte-identical to the uninterrupted run" >&2
+echo "   resumed output is byte-identical to the uninterrupted run" >&2
+
+echo "== 4/4 resume under another --pfs-profile recomputes ==" >&2
+"$REPRO" --scale quick --checkpoint "$WORK/ckpt-pfs" \
+    --out "$WORK/pfs-full.txt" resilience >/dev/null 2>&1
+"$REPRO" --scale quick --resume "$WORK/ckpt-pfs" --pfs-profile none \
+    --out "$WORK/pfs-resumed.txt" resilience >/dev/null 2>&1
+"$REPRO" --scale quick --pfs-profile none \
+    --out "$WORK/pfs-fresh.txt" resilience >/dev/null 2>&1
+if cmp -s "$WORK/pfs-full.txt" "$WORK/pfs-fresh.txt"; then
+    echo "FAIL: --pfs-profile none renders like full; the check proves nothing" >&2
+    exit 1
+fi
+if ! diff -u "$WORK/pfs-fresh.txt" "$WORK/pfs-resumed.txt" >"$WORK/diff-pfs.txt"; then
+    echo "FAIL: resume under --pfs-profile none replayed a stale checkpoint:" >&2
+    head -50 "$WORK/diff-pfs.txt" >&2
+    exit 1
+fi
+echo "OK: resumes are byte-identical and never replay stale inputs" >&2

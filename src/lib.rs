@@ -61,7 +61,7 @@ pub mod prelude {
     pub use crate::methodology::advisor::{predict, rank_configs, Prediction};
     pub use crate::methodology::campaign::{
         run_campaign, run_campaign_supervised, AppFactory, Campaign, CampaignCell, CellOutcome,
-        CellStore, MemStore, NoStore, SuperviseOptions,
+        SuperviseOptions,
     };
     pub use crate::methodology::charact::{
         characterize_app, characterize_system, CharactError, CharacterizeOptions,
@@ -71,6 +71,7 @@ pub mod prelude {
         AccessMode, AccessType, IoLevel, OpType, PerfRow, PerfTable, PerfTableSet,
     };
     pub use crate::methodology::report;
+    pub use crate::methodology::store::Store;
     pub use crate::methodology::trace::{AppProfile, PhaseReport, ProfileSink};
     pub use crate::simcore::{Abort, Bandwidth, Time, Watchdog, WatchdogSpec, GIB, KIB, MIB};
     pub use crate::workloads::{

@@ -2,7 +2,7 @@
 //!
 //! The recovery invariant under test: a campaign that suffered *any*
 //! injected host fault — failed/torn/ENOSPC checkpoint writes, store
-//! serialization errors, worker panics at cell boundaries, memo-cache
+//! serialization errors, worker panics at cell boundaries, result-store
 //! corruption — completes, and a chaos-free resume over the same
 //! checkpoint directory renders **byte-identically** to an uninterrupted
 //! run. The sweep below proves it for 28 distinct seeded fault schedules;
@@ -12,16 +12,16 @@
 //! Chaos plans are process-global, so every test that installs one
 //! serializes on [`CHAOS_LOCK`].
 
-use bench::checkpoint::CampaignStore;
 use cluster::{config as ioconfig, presets};
-use ioeval_core::campaign::{run_campaign_supervised, AppFactory, NoStore, SuperviseOptions};
+use ioeval_core::campaign::{run_campaign_supervised, AppFactory, SuperviseOptions};
 use ioeval_core::charact::CharacterizeOptions;
-use ioeval_core::memo::CharactMemo;
+use ioeval_core::checkpoint::CheckpointDir;
+use ioeval_core::store::Store;
 use simcore::chaos::{self, ChaosAction, ChaosProfile, ChaosSite, HostFaultPlan, Injection};
 use simcore::{KIB, MIB};
 use std::fs;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use workloads::{BtClass, BtIo, BtSubtype};
 
 /// Chaos state is process-global; tests that install plans must not
@@ -49,11 +49,8 @@ fn charact_opts() -> CharacterizeOptions {
 }
 
 /// One pinned small campaign (aohyper, 3 configs, one BT-IO app),
-/// rendered. The memo, when given, replays characterizations in-process.
-fn run(
-    store: &mut (dyn ioeval_core::campaign::CellStore + Send),
-    memo: Option<Arc<CharactMemo>>,
-) -> String {
+/// rendered. A warm `store` replays characterization phases in-process.
+fn run(store: &Store) -> String {
     let spec = presets::aohyper();
     let configs = ioconfig::aohyper_configs();
     let bt = || {
@@ -63,17 +60,14 @@ fn run(
             .scenario()
     };
     let apps: Vec<AppFactory> = vec![("btio-full", &bt)];
-    let opts = SuperviseOptions {
-        memo,
-        ..SuperviseOptions::default()
-    };
+    let opts = SuperviseOptions::default();
     run_campaign_supervised(&spec, &configs, &apps, &charact_opts(), &opts, store).render()
 }
 
 #[test]
 fn resume_after_any_injected_fault_is_byte_identical() {
     let _l = chaos_lock();
-    let reference = run(&mut NoStore, None);
+    let reference = run(&Store::memory());
 
     // 28 distinct seeded schedules across the profiles whose sites a plain
     // supervised campaign hits (memo-load injection needs a warm memo and
@@ -93,9 +87,9 @@ fn resume_after_any_injected_fault_is_byte_identical() {
             let dir = scratch(&format!("sweep-{profile_name}-{seed}"));
 
             // The wounded run: injected faults, must still complete.
-            let mut store = CampaignStore::open(&dir).unwrap();
+            let store = Store::open(&dir).unwrap();
             let guard = chaos::install(plan.clone());
-            let wounded = run(&mut store, None);
+            let wounded = run(&store);
             fired_total += guard.fired().len();
             drop(guard);
 
@@ -111,8 +105,8 @@ fn resume_after_any_injected_fault_is_byte_identical() {
             // The recovery invariant: a chaos-free resume over whatever the
             // wounded run left on disk is byte-identical to an
             // uninterrupted run.
-            let mut store = CampaignStore::open(&dir).unwrap();
-            let resumed = run(&mut store, None);
+            let store = Store::open(&dir).unwrap();
+            let resumed = run(&store);
             assert_eq!(
                 resumed,
                 reference,
@@ -133,13 +127,13 @@ fn resume_after_any_injected_fault_is_byte_identical() {
 #[test]
 fn memo_corruption_is_quarantined_and_recomputed() {
     let _l = chaos_lock();
-    let reference = run(&mut NoStore, None);
+    let reference = run(&Store::memory());
 
-    // Warm the memo, then replay the campaign from it under injected
-    // memo-load corruption: every poisoned entry must be quarantined and
+    // Warm the store, then replay the campaign from it under injected
+    // memory-tier corruption: every poisoned entry must be quarantined and
     // recomputed, never served, and the rendering must not change.
-    let memo = Arc::new(CharactMemo::new());
-    let warm = run(&mut NoStore, Some(Arc::clone(&memo)));
+    let store = Store::memory();
+    let warm = run(&store);
     assert_eq!(warm, reference);
 
     let plan = HostFaultPlan::from_injections(vec![
@@ -155,7 +149,7 @@ fn memo_corruption_is_quarantined_and_recomputed() {
         },
     ]);
     let guard = chaos::install(plan);
-    let replayed = run(&mut NoStore, Some(Arc::clone(&memo)));
+    let replayed = run(&store);
     let fired = guard.fired().len();
     drop(guard);
     assert_eq!(
@@ -163,21 +157,25 @@ fn memo_corruption_is_quarantined_and_recomputed() {
         "memo corruption must not leak into results"
     );
     assert_eq!(fired, 2, "both corruptions must have fired");
-    assert_eq!(memo.quarantined(), 2, "corrupt entries are quarantined");
+    assert_eq!(
+        store.health().quarantined,
+        2,
+        "corrupt entries are quarantined"
+    );
 }
 
 #[test]
 fn store_faults_surface_in_the_campaign_health_footer() {
     let _l = chaos_lock();
-    let reference = run(&mut NoStore, None);
+    let reference = run(&Store::memory());
     let dir = scratch("health-footer");
-    let mut store = CampaignStore::open(&dir).unwrap();
+    let store = Store::open(&dir).unwrap();
     let guard = chaos::install(HostFaultPlan::single(
         ChaosSite::StoreSerialize,
         0,
         ChaosAction::Fail,
     ));
-    let wounded = run(&mut store, None);
+    let wounded = run(&store);
     drop(guard);
     assert!(wounded.starts_with(&reference));
     assert!(
@@ -229,7 +227,7 @@ fn shrinker_bisects_a_failing_schedule_to_a_replayable_minimal_repro() {
     let runs = std::cell::Cell::new(0u32);
     let mut fails = |candidate: &HostFaultPlan| {
         runs.set(runs.get() + 1);
-        let dir = bench::checkpoint::CheckpointDir::new(scratch("shrink")).unwrap();
+        let dir = CheckpointDir::new(scratch("shrink")).unwrap();
         let guard = chaos::install(candidate.clone());
         dir.save("tables-shrink", "payload under test");
         drop(guard);

@@ -405,7 +405,7 @@ fn supervised_campaign_is_jobs_invariant() {
 
     let run = |jobs: usize| {
         let sup = SuperviseOptions::default().with_jobs(jobs);
-        run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, &mut NoStore)
+        run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, &Store::memory())
     };
     let reference = run(1);
     assert_eq!(reference.outcomes.len(), 4);
@@ -457,7 +457,8 @@ fn io500_style_campaign_and_metadata_metrics_are_jobs_invariant() {
             ..SuperviseOptions::default()
         }
         .with_jobs(jobs);
-        let campaign = run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, &mut NoStore);
+        let campaign =
+            run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, &Store::memory());
         assert!(!campaign.is_degraded());
         let metrics = ioeval_core::obs::render_obs_metrics(&hub.aggregate(), Time::from_secs(1));
         (campaign.render(), metrics)

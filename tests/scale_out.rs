@@ -12,9 +12,10 @@
 
 use cluster::scale::scale_1024;
 use cluster::{presets, DeviceLayout, IoConfigBuilder};
-use ioeval_core::campaign::{run_campaign_supervised, AppFactory, NoStore, SuperviseOptions};
+use ioeval_core::campaign::{run_campaign_supervised, AppFactory, SuperviseOptions};
 use ioeval_core::charact::CharacterizeOptions;
 use ioeval_core::perf_table::IoLevel;
+use ioeval_core::store::Store;
 use simcore::{Bandwidth, KIB, MIB};
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -48,7 +49,7 @@ fn campaign_at_1024_ranks_renders_byte_identical_across_jobs() {
     let opts = ranks_1024_options();
     let run = |jobs: usize| {
         let sup = SuperviseOptions::default().with_jobs(jobs);
-        let c = run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, &mut NoStore);
+        let c = run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, &Store::memory());
         let tables: Vec<String> = c.tables.iter().map(|t| t.to_json()).collect();
         (c.render(), tables)
     };

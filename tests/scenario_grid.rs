@@ -65,7 +65,7 @@ fn one_and_four_workers_render_identical_grids() {
 
 /// A resumed grid replays every checkpointed cell: the second run renders
 /// byte-identically *and* performs no characterization work of its own
-/// (its in-process memo never misses — everything loads from the store).
+/// (no phase is simulated on resume — everything loads from the store).
 #[test]
 fn killed_and_resumed_grid_replays_byte_identically() {
     let dir = std::env::temp_dir().join(format!("ioeval-scenario-resume-{}", std::process::id()));
@@ -85,9 +85,14 @@ fn killed_and_resumed_grid_replays_byte_identically() {
     let b = bench::scenario_grid::scenario(&mut resumed);
     assert_eq!(a, b, "resumed grid must render byte-identically");
     assert_eq!(
-        resumed.memo_stats(),
-        Some((0, 0)),
-        "a fully resumed grid must not re-characterize anything"
+        resumed.memo_phase_stats().map(|(_, misses)| misses),
+        Some(0),
+        "no phase simulated on resume"
+    );
+    assert_eq!(
+        resumed.store().kind_stats(ioeval_core::store::Kind::Cell),
+        (24, 0),
+        "every cell replays from the checkpoint"
     );
 
     let _ = std::fs::remove_dir_all(&dir);
