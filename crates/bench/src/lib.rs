@@ -11,10 +11,13 @@
 //!   time; used to produce `EXPERIMENTS.md`.
 //! * [`Scale::Quick`] — reduced parameters with the same structure, for CI
 //!   and smoke-testing the harness end to end in seconds.
+//!
+//! This crate times nothing itself: host-time measurement lives in the
+//! separate `perfbench` package that `BENCHMARK.json` runs, which drives
+//! these experiments as its `repro-quick` and `grid` workloads.
 
 pub mod context;
 pub mod experiments;
-pub mod hotpath;
 pub mod scenario_grid;
 
 pub use context::{write_artifact, PfsFaultProfile, Repro, Scale};

@@ -416,11 +416,6 @@ impl Drop for ChaosGuard {
     }
 }
 
-/// Whether a plan is installed (one relaxed atomic load).
-pub fn is_active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
-}
-
 /// Records one hit of `site` and returns the action to inject, if the
 /// installed plan has a fault on this hit. Without an installed plan this
 /// is a single atomic load.
@@ -612,7 +607,7 @@ mod tests {
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].nth, 2);
         drop(guard);
-        assert!(!is_active());
+        assert!(STATE.lock().unwrap().is_none(), "guard drop uninstalls");
         assert_eq!(decide(ChaosSite::CheckpointWrite), None, "uninstalled");
     }
 

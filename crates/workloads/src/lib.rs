@@ -5,9 +5,6 @@
 //!   doubles the main memory size"), in sequential / strided / random read
 //!   and write modes. Used to characterize the local and network filesystem
 //!   levels (paper Figs. 5 and 13).
-//! * [`bonnie`] — a bonnie++-like exerciser (the paper's named IOzone
-//!   alternative): sequential input/output, block *rewrite*, and the
-//!   random-seek IOPs test.
 //! * [`ior`] — an IOR-like MPI-IO benchmark: N ranks, per-rank blocks
 //!   written/read in fixed transfer units, independent or collective. Used
 //!   to characterize the I/O library level (Figs. 6 and 14).
@@ -38,7 +35,6 @@
 //! concrete workload variants byte-reproducibly for campaign-scale
 //! what-if exploration.
 
-pub mod bonnie;
 pub mod btio;
 pub mod flashio;
 pub mod grammar;
@@ -48,7 +44,6 @@ pub mod madbench;
 pub mod mdtest;
 pub mod scenario;
 
-pub use bonnie::{Bonnie, BonnieTest};
 pub use btio::{BtClass, BtIo, BtSubtype};
 pub use flashio::FlashIo;
 pub use grammar::{source_digest, Dist, Grammar, GrammarError, Variant};

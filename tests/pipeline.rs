@@ -476,41 +476,6 @@ fn io500_style_campaign_and_metadata_metrics_are_jobs_invariant() {
 }
 
 #[test]
-fn bonnie_tests_have_expected_cost_ordering() {
-    use workloads::{Bonnie, BonnieTest};
-    let spec = test_spec();
-    let config = jbod();
-    let run = |test| {
-        let b = Bonnie::new(cluster_io_eval::fs::FileId(31), 64 * MIB, test);
-        characterize_app(&spec, &config, b.scenario(), None).expect("profile")
-    };
-    let output = run(BonnieTest::SeqOutput);
-    let input = run(BonnieTest::SeqInput);
-    let rewrite = run(BonnieTest::Rewrite);
-    let seeks = run(BonnieTest::RandomSeeks);
-
-    // Rewrite moves 2× the bytes of a single pass and mixes directions.
-    assert_eq!(rewrite.bytes_read, 64 * MIB);
-    assert_eq!(rewrite.bytes_written, 64 * MIB);
-    assert!(rewrite.io_time > input.io_time);
-    assert!(output.exec_time > Time::ZERO);
-
-    // The seek test produces an IOPs figure in a mechanical-disk range
-    // (the 64 MiB test file allows partial caching, so it can beat raw
-    // spindle IOPs but must stay far below memory speed).
-    let m = seeks
-        .measured
-        .iter()
-        .find(|m| m.op == OpType::Read)
-        .expect("seek reads measured");
-    assert!(
-        m.iops > 20.0 && m.iops < 20_000.0,
-        "random-seek IOPs = {}",
-        m.iops
-    );
-}
-
-#[test]
 fn ior_collective_and_independent_both_complete() {
     let spec = test_spec();
     let config = jbod();

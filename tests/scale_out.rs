@@ -1,14 +1,16 @@
 //! Scale-out regression suite: 1024-rank campaigns and the rank-group
 //! collapsed IOR sweep.
 //!
-//! Two guarantees are pinned here. First, a 1024-rank characterization
+//! Three guarantees are pinned here. First, a 1024-rank characterization
 //! campaign renders byte-identically under `jobs = 1` and `jobs = 4` —
 //! parallelism trades wall-clock for cores, never output. Second, the
 //! collapsed execution of a 1024-rank IOR sweep on the leaf-spine scale
 //! testbed produces *exactly* the table a full per-rank execution does,
 //! and that table is pinned as a golden snapshot
 //! (`tests/golden/scale_ior.txt`; regenerate an intended model change
-//! with `IOEVAL_REGEN_GOLDEN=1 cargo test --test scale_out`).
+//! with `IOEVAL_REGEN_GOLDEN=1 cargo test --test scale_out`). Third, the
+//! collapsed sweep is at least 10× cheaper, counted in ops pulled from
+//! the rank programs rather than timed, so the gate is deterministic.
 
 use cluster::scale::scale_1024;
 use cluster::{presets, DeviceLayout, IoConfigBuilder};
@@ -16,9 +18,12 @@ use ioeval_core::campaign::{run_campaign_supervised, AppFactory, SuperviseOption
 use ioeval_core::charact::CharacterizeOptions;
 use ioeval_core::perf_table::IoLevel;
 use ioeval_core::store::Store;
+use mpisim::{MpiOp, OpStream, StreamSignature};
 use simcore::{Bandwidth, KIB, MIB};
+use std::cell::Cell;
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::rc::Rc;
 use workloads::ior::{Ior, IorOp};
 
 /// A library-level-only sweep at 1024 ranks: one 256 KiB block per rank,
@@ -61,12 +66,38 @@ fn campaign_at_1024_ranks_renders_byte_identical_across_jobs() {
     assert_eq!(seq_tables, par_tables, "jobs=4 tables differ at 1024 ranks");
 }
 
-/// Runs the 1024-rank IOR sweep on the scale testbed and renders one line
-/// per point, with the collapse toggle under test; asserts every point
-/// took the path the toggle asks for.
-fn scale_ior_table(collapse: bool) -> String {
+/// An [`OpStream`] wrapper that counts the ops the runtime pulls from it
+/// into a counter shared by every rank of one sweep. It forwards the
+/// signature, so the wrapped programs execute exactly as the bare ones
+/// do.
+struct Counted {
+    inner: Box<dyn OpStream>,
+    pulled: Rc<Cell<u64>>,
+}
+
+impl OpStream for Counted {
+    fn next_op(&mut self) -> Option<MpiOp> {
+        let op = self.inner.next_op();
+        if op.is_some() {
+            self.pulled.set(self.pulled.get() + 1);
+        }
+        op
+    }
+
+    fn signature(&self) -> Option<StreamSignature> {
+        self.inner.signature()
+    }
+}
+
+/// Runs the 1024-rank IOR sweep on the scale testbed, unobserved, and
+/// renders one line per point, with the collapse toggle under test;
+/// asserts every point took the path the toggle asks for. Also returns
+/// how many ops the runtime pulled from the rank programs over the whole
+/// sweep: the simulation work the run did.
+fn scale_ior_table(collapse: bool) -> (String, u64) {
     let spec = scale_1024();
     let placement = spec.placement(1024);
+    let pulled = Rc::new(Cell::new(0));
     let mut out = String::from(
         "# cluster=scale-1024 sweep=IOR ranks=1024 transfer=256K\n\
          # OperationType | Blocksize | transferRate\n",
@@ -75,7 +106,15 @@ fn scale_ior_table(collapse: bool) -> String {
         for op in [IorOp::Write, IorOp::Read] {
             let programs = Ior::new(1024, fs::FileId(0x5CA1E), block, op)
                 .scenario()
-                .programs;
+                .programs
+                .into_iter()
+                .map(|inner| {
+                    Box::new(Counted {
+                        inner,
+                        pulled: Rc::clone(&pulled),
+                    }) as Box<dyn OpStream>
+                })
+                .collect();
             let mut machine = spec.machine();
             let stats = mpisim::Runtime::default().with_collapse(collapse).run(
                 &mut machine,
@@ -95,15 +134,23 @@ fn scale_ior_table(collapse: bool) -> String {
             );
         }
     }
-    out
+    (out, pulled.get())
 }
 
 #[test]
 fn golden_collapsed_scale_ior_table() {
-    let full = scale_ior_table(false);
-    let collapsed = scale_ior_table(true);
+    let (full, full_ops) = scale_ior_table(false);
+    let (collapsed, collapsed_ops) = scale_ior_table(true);
     // Equivalence first: the collapsed table IS the full table.
     assert_eq!(full, collapsed, "collapsed execution drifted from granular");
+    // Then the work it saved. An unobserved collapsed run steps one
+    // representative per cohort and never the members, so it must pull
+    // at most a tenth of the ops the granular run pulls.
+    assert!(
+        collapsed_ops > 0 && collapsed_ops * 10 <= full_ops,
+        "collapse pulled {collapsed_ops} ops against {full_ops} granular; \
+         the 1024-rank sweep must be at least 10x cheaper collapsed"
+    );
 
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/scale_ior.txt");
     if std::env::var_os("IOEVAL_REGEN_GOLDEN").is_some() {
