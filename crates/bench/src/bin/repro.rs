@@ -25,14 +25,15 @@
 //! full sweeps); `--scale quick` (default) runs a structurally identical
 //! reduced version in seconds.
 //!
-//! Every result a run computes — characterization phases, application
-//! profiles, evaluation reports, campaign cells, finished experiment
-//! outputs — goes through one content-addressed result store, keyed by a
-//! digest of every input that shapes it (scale, watchdog, PFS profile,
-//! scenario grid, cluster and configuration). Within a process, repeated
-//! phases, profiles and reports replay from memory; the store is a pure
-//! cache, so output is byte-identical either way, and its hit/miss counts
-//! go to stderr at the end of the run.
+//! Every result a run computes — characterization phases, evaluation
+//! reports (whose profiles are the application characterizations),
+//! campaign cells, finished experiment outputs — goes through one
+//! content-addressed result store, keyed by a digest of every input that
+//! shapes it (scale, watchdog, PFS profile, scenario grid, cluster,
+//! configuration and workload). Within a process, repeated phases and
+//! reports replay from memory; the store is a pure cache, so output is
+//! byte-identical either way, and its hit/miss counts go to stderr at the
+//! end of the run.
 //!
 //! `--checkpoint DIR` makes the run *resumable*: the store also writes
 //! every result to `DIR` (digest-verified, written atomically), and a
@@ -44,9 +45,14 @@
 //! differs, so it is recomputed. Corrupt or truncated checkpoint files are
 //! detected, quarantined and recomputed.
 //!
-//! `--deadline SECS` arms a simulated-time watchdog on every run (a
-//! livelocked or runaway simulation aborts instead of hanging the
-//! campaign); `--wall-budget SECS` adds a host-time ceiling per run.
+//! `--deadline SECS` arms a simulated-time watchdog on every run of every
+//! experiment (a livelocked or runaway simulation aborts instead of
+//! hanging the campaign); `--wall-budget SECS` adds a host-time ceiling
+//! per run. An experiment that fails (a watchdog aborted one of its runs,
+//! say) prints `[repro] <id> failed: <message>` to stderr and stops the
+//! run; the experiments finished before it are still printed and
+//! checkpointed, `--out`, `--metrics` and `--trace-out` are still
+//! written, and `repro` exits with code 4.
 //!
 //! `--jobs N` runs campaign experiments on N worker threads (default 1,
 //! or the `IOEVAL_JOBS` environment variable). Parallel campaigns merge
@@ -87,6 +93,7 @@
 
 use bench::experiments::registry;
 use bench::{PfsFaultProfile, Repro, Scale};
+use ioeval_core::supervise::run_isolated;
 use simcore::chaos::{ChaosProfile, HostFaultPlan};
 use simcore::{Time, WatchdogSpec};
 use std::io::Write as _;
@@ -325,6 +332,7 @@ fn main() {
     }
 
     let mut full_output = String::new();
+    let mut failed = false;
     for (id, desc, f) in to_run {
         let output = match repro.restore_experiment(id) {
             Some(cached) => {
@@ -334,10 +342,18 @@ fn main() {
             None => {
                 eprintln!("[repro] running {id} ({desc}, scale {scale:?}) ...");
                 let t0 = std::time::Instant::now();
-                let output = f(&mut repro);
-                eprintln!("[repro] {id} done in {:.1}s", t0.elapsed().as_secs_f64());
-                repro.save_experiment(id, &output);
-                output
+                match run_isolated(|| f(&mut repro)) {
+                    Ok(output) => {
+                        eprintln!("[repro] {id} done in {:.1}s", t0.elapsed().as_secs_f64());
+                        repro.save_experiment(id, &output);
+                        output
+                    }
+                    Err(message) => {
+                        eprintln!("[repro] {id} failed: {message}");
+                        failed = true;
+                        break;
+                    }
+                }
             }
         };
         println!("\n######## {id} ########\n{output}");
@@ -406,10 +422,13 @@ fn main() {
     let health = repro.store_health();
     if health.any() {
         eprintln!("[repro] store health: {}", health.summary());
-        if strict_store {
-            eprintln!("repro: exiting non-zero (--strict-store)");
-            std::process::exit(3);
-        }
+    }
+    if failed {
+        std::process::exit(4);
+    }
+    if health.any() && strict_store {
+        eprintln!("repro: exiting non-zero (--strict-store)");
+        std::process::exit(3);
     }
 }
 
@@ -430,9 +449,10 @@ fn usage() {
          experiments regenerate the paper's tables/figures; see 'repro list'.\n\
          --checkpoint/--resume persist every result to DIR and replay it on a rerun\n\
          with the same inputs (results are keyed by scale, watchdog, PFS profile,\n\
-         scenario grid, cluster and configuration; phases, profiles and reports\n\
+         scenario grid, cluster, configuration and workload; phases and reports\n\
          are also reused in memory, hit/miss counts go to stderr);\n\
          --deadline arms a simulated-time watchdog, --wall-budget a host-time ceiling;\n\
+         an experiment that fails prints '[repro] <id> failed: ...' and exits 4;\n\
          --jobs runs campaign cells on N workers (deterministic merge: output is\n\
          byte-identical to --jobs 1; defaults to $IOEVAL_JOBS, else 1);\n\
          --trace-out records the I/O-path event stream of every evaluated run\n\

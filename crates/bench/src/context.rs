@@ -2,16 +2,16 @@
 
 use cluster::{config as ioconfig, presets, ClusterSpec, IoConfig};
 use ioeval_core::campaign::{strip_store_health, SuperviseOptions};
-use ioeval_core::charact::{characterize_app, characterize_system_memo, CharacterizeOptions};
+use ioeval_core::charact::{characterize_system_memo, CharacterizeOptions};
 use ioeval_core::eval::{evaluate, EvalOptions, EvalReport, FaultScenario};
 use ioeval_core::obs::{Collector, MetricsHub, ObsData, TraceMeta};
 use ioeval_core::perf_table::{AccessMode, PerfTableSet};
 use ioeval_core::store::{Key, Kind, Store, StoreHealth};
-use ioeval_core::trace::AppProfile;
 use simcore::{Time, WatchdogSpec, KIB, MIB};
+use std::fmt::Debug;
 use std::path::PathBuf;
 use std::sync::Arc;
-use workloads::{BtClass, BtIo, BtSubtype, FileType, MadBench, Scenario};
+use workloads::{BtClass, BtIo, BtSubtype, FileType, MadBench, Workload};
 
 /// Experiment scale.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,9 +73,9 @@ impl PfsFaultProfile {
 }
 
 /// Experiment context: clusters, configurations, and one result [`Store`]
-/// shared between related experiments (Fig. 12 and Tables III/IV reuse the
-/// same runs, Table II and Fig. 8 the same traces, exactly like the
-/// paper).
+/// shared between related experiments (Tables II/III/IV and Figs. 8/12
+/// reuse the same BT-IO runs, Table VIII and Fig. 18 the same MADbench2
+/// runs, exactly like the paper).
 ///
 /// Every stored result is keyed by the inputs that shape it, so changing
 /// the scale, watchdog, PFS profile or scenario grid never replays a stale
@@ -259,6 +259,11 @@ impl Repro {
         self
     }
 
+    /// The watchdog budgets, if any.
+    pub fn watchdog(&self) -> Option<&WatchdogSpec> {
+        self.watchdog.as_ref()
+    }
+
     /// The result store (campaign experiments run their cells through it).
     pub fn store(&self) -> &Store {
         &self.store
@@ -368,26 +373,6 @@ impl Repro {
         })
     }
 
-    /// Memoized application characterization of a scenario on `(spec,
-    /// config)`. `key` names the workload; together with the scale it
-    /// identifies the scenario.
-    pub fn profile(
-        &self,
-        spec: &ClusterSpec,
-        config: &IoConfig,
-        key: &str,
-        scenario: Scenario,
-    ) -> AppProfile {
-        let store_key = Key::of(Kind::Profile, &(self.scale, spec, config, key));
-        if let Some(p) = self.store.get(store_key) {
-            return p;
-        }
-        let profile = characterize_app(spec, config, scenario, None)
-            .unwrap_or_else(|e| panic!("characterization of {key} on {} failed: {e}", config.name));
-        self.store.put(store_key, &profile);
-        profile
-    }
-
     /// A BT-IO instance at the scale.
     pub fn btio(&self, procs: usize, subtype: BtSubtype) -> BtIo {
         match self.scale {
@@ -404,31 +389,34 @@ impl Repro {
         }
     }
 
-    /// Memoized evaluation of a scenario on `(spec, config)`.
+    /// Memoized healthy evaluation of `workload` on `(spec, config)`. Its
+    /// `profile` is the application characterization of that run (paper
+    /// phase 1b), so characterization tables and evaluation figures of the
+    /// same run share one simulation.
     pub fn eval(
         &mut self,
         spec: &ClusterSpec,
         config: &IoConfig,
-        key: &str,
-        scenario: Scenario,
+        workload: &(impl Workload + Debug),
     ) -> EvalReport {
-        self.eval_under(spec, config, key, scenario, FaultScenario::Healthy)
+        self.eval_under(spec, config, workload, FaultScenario::Healthy)
     }
 
-    /// Memoized evaluation under a fault scenario; the fault scenario is
-    /// part of the store key, so the same workload can be compared healthy
-    /// vs degraded vs rebuilding without re-running either.
+    /// Memoized evaluation under a fault scenario. The store key is every
+    /// input of the run — scale, cluster, configuration, the workload
+    /// value itself, faults and watchdog — so the same workload can be
+    /// compared healthy vs degraded vs rebuilding without re-running
+    /// either, and two experiments asking for the same run share it.
     pub fn eval_under(
         &mut self,
         spec: &ClusterSpec,
         config: &IoConfig,
-        key: &str,
-        scenario: Scenario,
+        workload: &(impl Workload + Debug),
         faults: FaultScenario,
     ) -> EvalReport {
         let store_key = Key::of(
             Kind::Report,
-            &(self.scale, spec, config, key, &faults, &self.watchdog),
+            &(self.scale, spec, config, workload, &faults, &self.watchdog),
         );
         if let Some(r) = self.store.get(store_key) {
             return r;
@@ -443,19 +431,23 @@ impl Repro {
         let collector = self.obs.as_ref().map(|_| Collector::new());
         let report = {
             let _guard = collector.as_ref().map(Collector::install);
-            evaluate(spec, config, scenario, &tables, &opts)
-                .unwrap_or_else(|e| panic!("evaluation of {key} on {} failed: {e}", config.name))
+            evaluate(spec, config, workload.scenario(), &tables, &opts)
+                .unwrap_or_else(|e| panic!("{e} (on {} / {})", spec.name, config.name))
         };
         if let (Some(obs), Some(col)) = (self.obs.as_mut(), collector) {
             let data = col.take();
-            let cell = format!("{}::{}::{key}::{scenario_label}", spec.name, config.name);
+            // The store key keeps two distinct runs of one app apart.
+            let cell = format!(
+                "{}::{}::{}::{scenario_label}::{store_key:?}",
+                spec.name, config.name, report.app
+            );
             obs.hub.add(cell, data.metrics.clone());
             obs.traced_exec = obs.traced_exec.saturating_add(report.profile.exec_time);
             obs.traces.push((
                 TraceMeta {
                     cluster: spec.name.clone(),
                     config: config.name.clone(),
-                    app: key.to_string(),
+                    app: report.app.clone(),
                     scenario: scenario_label,
                 },
                 data,

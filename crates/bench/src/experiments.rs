@@ -166,12 +166,7 @@ fn btio_characterization_table(r: &mut Repro, procs: usize, title: &str) -> Stri
     let mut out = format!("{title}\n");
     for subtype in [BtSubtype::Full, BtSubtype::Simple] {
         let bt = r.btio(procs, subtype);
-        let profile = r.profile(
-            &spec,
-            config,
-            &format!("btio{procs}-{subtype:?}"),
-            bt.scenario(),
-        );
+        let profile = r.eval(&spec, config, &bt).profile;
         out.push_str(&format!("\n-- subtype: {subtype:?} --\n"));
         out.push_str(&render_app_profile(&profile));
     }
@@ -222,7 +217,7 @@ pub fn fig8(r: &mut Repro) -> String {
     let mut out = String::new();
     for subtype in [BtSubtype::Full, BtSubtype::Simple] {
         let bt = r.btio(16, subtype);
-        let profile = r.profile(&spec, config, &format!("btio16-{subtype:?}"), bt.scenario());
+        let profile = r.eval(&spec, config, &bt).profile;
         out.push_str(&phase_figure(
             &format!("Fig. 8 — NAS BT-IO {subtype:?} subtype traces (16 processes)"),
             &profile,
@@ -240,8 +235,7 @@ fn btio_aohyper_runs(r: &mut Repro, procs: usize) -> Vec<(String, String, EvalRe
     for config in r.aohyper_configs() {
         for subtype in [BtSubtype::Full, BtSubtype::Simple] {
             let bt = r.btio(procs, subtype);
-            let key = format!("btio{procs}-{subtype:?}");
-            let report = r.eval(&spec, &config, &key, bt.scenario());
+            let report = r.eval(&spec, &config, &bt);
             out.push((
                 config.name.clone(),
                 format!("{subtype:?}").to_uppercase(),
@@ -322,8 +316,7 @@ fn btio_cluster_a_runs(r: &mut Repro) -> Vec<(String, String, EvalReport)> {
     for procs in [16usize, 64] {
         for subtype in [BtSubtype::Full, BtSubtype::Simple] {
             let bt = r.btio(procs, subtype).gflops(2.0); // faster Xeons
-            let key = format!("btioA{procs}-{subtype:?}");
-            let report = r.eval(&spec, &config, &key, bt.scenario());
+            let report = r.eval(&spec, &config, &bt);
             out.push((
                 format!("{procs}"),
                 format!("{subtype:?}").to_uppercase(),
@@ -388,7 +381,7 @@ pub fn fig16(r: &mut Repro) -> String {
         let collector = Collector::new();
         let profile = {
             let _guard = collector.install();
-            ioeval_core::charact::characterize_app(&spec, config, mb.scenario(), None)
+            ioeval_core::charact::characterize_app(&spec, config, mb.scenario(), r.watchdog())
                 .expect("MADbench2 characterization on a preset configuration")
         };
         out.push_str(&phase_figure(
@@ -413,7 +406,7 @@ pub fn table8(r: &mut Repro) -> String {
     for procs in [16usize, 64] {
         for ft in [FileType::Unique, FileType::Shared] {
             let mb = r.madbench(procs, ft);
-            let profile = r.profile(&spec, &config, &format!("mb{procs}-{ft:?}"), mb.scenario());
+            let profile = r.eval(&spec, &config, &mb).profile;
             out.push_str(&format!("\n-- {procs} processes, {ft:?} --\n"));
             out.push_str(&render_app_profile(&profile));
         }
@@ -497,8 +490,7 @@ fn madbench_aohyper_runs(r: &mut Repro) -> Vec<(String, String, EvalReport)> {
     for config in r.aohyper_configs() {
         for ft in [FileType::Unique, FileType::Shared] {
             let mb = r.madbench(16, ft);
-            let key = format!("madbench16-{ft:?}");
-            let report = r.eval(&spec, &config, &key, mb.scenario());
+            let report = r.eval(&spec, &config, &mb);
             out.push((
                 config.name.clone(),
                 format!("{ft:?}").to_uppercase(),
@@ -536,8 +528,7 @@ fn madbench_cluster_a_runs(r: &mut Repro) -> Vec<(String, String, EvalReport)> {
     for procs in [16usize, 64] {
         for ft in [FileType::Unique, FileType::Shared] {
             let mb = r.madbench(procs, ft);
-            let key = format!("madbenchA{procs}-{ft:?}");
-            let report = r.eval(&spec, &config, &key, mb.scenario());
+            let report = r.eval(&spec, &config, &mb);
             out.push((format!("{procs}"), format!("{ft:?}").to_uppercase(), report));
         }
     }
@@ -588,8 +579,7 @@ pub fn ablation_network(r: &mut Repro) -> String {
             .name(label)
             .build();
         let bt = r.btio(16, BtSubtype::Full);
-        let key = format!("ablation-net-{label}");
-        let report = r.eval(&spec, &config, &key, bt.scenario());
+        let report = r.eval(&spec, &config, &bt);
         rows.push((label.to_string(), "FULL".to_string(), report));
     }
     let refs: Vec<(&str, &str, &EvalReport)> = rows
@@ -614,8 +604,7 @@ pub fn ablation_write_cache(r: &mut Repro) -> String {
             .name(label)
             .build();
         let mb = r.madbench(16, FileType::Shared);
-        let key = format!("ablation-wc-{label}");
-        let report = r.eval(&spec, &config, &key, mb.scenario());
+        let report = r.eval(&spec, &config, &mb);
         rows.push((label.to_string(), "SHARED".to_string(), report));
     }
     format!(
@@ -683,8 +672,7 @@ pub fn ablation_pfs(r: &mut Repro) -> String {
         // NFS architecture (the paper's RAID 5 I/O node).
         let nfs_config = IoConfigBuilder::new(cluster::DeviceLayout::raid5_paper()).build();
         let bt = r.btio(16, subtype);
-        let key = format!("btio16-{subtype:?}");
-        let report = r.eval(&spec, &nfs_config, &key, bt.scenario());
+        let report = r.eval(&spec, &nfs_config, &bt);
         rows.push((
             "NFS, 1 I/O node".to_string(),
             format!("{subtype:?}").to_uppercase(),
@@ -696,8 +684,7 @@ pub fn ablation_pfs(r: &mut Repro) -> String {
             .name("PVFS x4")
             .build();
         let bt = r.btio(16, subtype).on(Mount::Pfs);
-        let key = format!("btio16-pfs-{subtype:?}");
-        let report = r.eval(&spec, &pfs_config, &key, bt.scenario());
+        let report = r.eval(&spec, &pfs_config, &bt);
         rows.push((
             "PVFS, 4 I/O servers".to_string(),
             format!("{subtype:?}").to_uppercase(),
@@ -733,8 +720,7 @@ pub fn advisor(r: &mut Repro) -> String {
                 .iter()
                 .map(|c| {
                     let bt = r.btio(16, BtSubtype::Full);
-                    let key = "btio16-Full".to_string();
-                    (c.name.clone(), r.eval(&spec, c, &key, bt.scenario()))
+                    (c.name.clone(), r.eval(&spec, c, &bt))
                 })
                 .collect(),
         ),
@@ -744,8 +730,7 @@ pub fn advisor(r: &mut Repro) -> String {
                 .iter()
                 .map(|c| {
                     let mb = r.madbench(16, FileType::Shared);
-                    let key = "madbench16-Shared".to_string();
-                    (c.name.clone(), r.eval(&spec, c, &key, mb.scenario()))
+                    (c.name.clone(), r.eval(&spec, c, &mb))
                 })
                 .collect(),
         ),
@@ -810,7 +795,6 @@ pub fn resilience(r: &mut Repro) -> String {
         crate::context::Scale::Quick => (4, 32 * MIB),
     };
     let ior = Ior::new(ranks, fs::FileId(90), block, IorOp::Read);
-    let key = format!("resilience-ior{ranks}-{}", fmt_bytes(block));
 
     let scenarios = [
         FaultScenario::Healthy,
@@ -826,7 +810,7 @@ pub fn resilience(r: &mut Repro) -> String {
     ];
     let reports: Vec<EvalReport> = scenarios
         .iter()
-        .map(|f| r.eval_under(&spec, &config, &key, ior.scenario(), f.clone()))
+        .map(|f| r.eval_under(&spec, &config, &ior, f.clone()))
         .collect();
     let refs: Vec<&EvalReport> = reports.iter().collect();
     let mut out = format!(
@@ -869,10 +853,9 @@ pub fn resilience(r: &mut Repro) -> String {
             .name("PVFS x4 r2")
             .build();
         let pfs_ior = Ior::new(ranks, fs::FileId(91), block, IorOp::Write).on(Mount::Pfs);
-        let pfs_key = format!("resilience-pfs-ior{ranks}-{}", fmt_bytes(block));
         let pfs_reports: Vec<EvalReport> = std::iter::once(FaultScenario::Healthy)
             .chain(pfs_faults)
-            .map(|f| r.eval_under(&spec, &pfs_config, &pfs_key, pfs_ior.scenario(), f))
+            .map(|f| r.eval_under(&spec, &pfs_config, &pfs_ior, f))
             .collect();
         let pfs_refs: Vec<&EvalReport> = pfs_reports.iter().collect();
         out.push_str(&format!(
@@ -900,10 +883,8 @@ pub fn campaign(r: &mut Repro) -> String {
     let configs = r.aohyper_configs();
     let opts = r.charact_options(&spec);
     let sup = r.supervise_options();
-    let bt_full = r.btio(16, BtSubtype::Full);
-    let bt_simple = r.btio(16, BtSubtype::Simple);
-    let full = || bt_full.scenario();
-    let simple = || bt_simple.scenario();
+    let full = r.btio(16, BtSubtype::Full);
+    let simple = r.btio(16, BtSubtype::Simple);
     let apps: Vec<AppFactory> = vec![("btio-full-16p", &full), ("btio-simple-16p", &simple)];
     let campaign = run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, r.store());
     format!(
@@ -975,19 +956,13 @@ pub fn io500(r: &mut Repro) -> String {
         let md_easy = Mdtest::easy(ranks, files).on(mount).base(fs::FileId(6000));
         let md_hard = Mdtest::hard(ranks, files).on(mount).base(fs::FileId(7000));
 
-        let f_easy_w = || ior_easy_w.scenario();
-        let f_easy_r = || ior_easy_r.scenario();
-        let f_hard_w = || ior_hard_w.scenario();
-        let f_hard_r = || ior_hard_r.scenario();
-        let f_md_easy = || md_easy.scenario();
-        let f_md_hard = || md_hard.scenario();
         let apps: Vec<AppFactory> = vec![
-            ("ior-easy-write", &f_easy_w),
-            ("ior-easy-read", &f_easy_r),
-            ("ior-hard-write", &f_hard_w),
-            ("ior-hard-read", &f_hard_r),
-            ("mdtest-easy", &f_md_easy),
-            ("mdtest-hard", &f_md_hard),
+            ("ior-easy-write", &ior_easy_w),
+            ("ior-easy-read", &ior_easy_r),
+            ("ior-hard-write", &ior_hard_w),
+            ("ior-hard-read", &ior_hard_r),
+            ("mdtest-easy", &md_easy),
+            ("mdtest-hard", &md_hard),
         ];
         let opts = r.charact_options(&spec);
         let sup = r.supervise_options();
@@ -1193,16 +1168,56 @@ mod tests {
         let mut r = Repro::new(Scale::Quick);
         table2(&mut r);
         assert_eq!(
-            r.store().kind_stats(Kind::Profile),
+            r.store().kind_stats(Kind::Report),
             (0, 2),
-            "table2 traces BT-IO full and simple"
+            "table2 runs BT-IO full and simple"
         );
         fig8(&mut r);
         assert_eq!(
-            r.store().kind_stats(Kind::Profile),
+            r.store().kind_stats(Kind::Report),
             (2, 2),
-            "fig8 reuses table2's traces"
+            "fig8 reuses table2's runs"
         );
+    }
+
+    #[test]
+    fn fig18_reuses_table8s_madbench_runs() {
+        use ioeval_core::store::Kind;
+        let mut r = Repro::new(Scale::Quick);
+        table8(&mut r);
+        assert_eq!(r.store().kind_stats(Kind::Report), (0, 4));
+        fig18(&mut r);
+        assert_eq!(
+            r.store().kind_stats(Kind::Report),
+            (4, 4),
+            "fig18's four runs are table8's"
+        );
+    }
+
+    #[test]
+    fn runs_are_keyed_by_the_workload_value() {
+        use ioeval_core::store::Kind;
+        let mut r = Repro::new(Scale::Quick);
+        let spec = cluster::presets::test_cluster();
+        let config = r.aohyper_configs().remove(0);
+        let bt = workloads::BtIo::new(workloads::BtClass::S, 4, BtSubtype::Full).with_dumps(2);
+        r.eval(&spec, &config, &bt.clone().gflops(1.0));
+        r.eval(&spec, &config, &bt.gflops(2.0));
+        assert_eq!(
+            r.store().kind_stats(Kind::Report),
+            (0, 2),
+            "workloads differing only in gflops are distinct runs"
+        );
+    }
+
+    #[test]
+    fn table2_honours_the_watchdog() {
+        use simcore::{Time, WatchdogSpec};
+        let mut r =
+            Repro::new(Scale::Quick).with_watchdog(WatchdogSpec::sim_deadline(Time::from_secs(1)));
+        let err = ioeval_core::supervise::run_isolated(|| table2(&mut r))
+            .expect_err("a 1 s simulated deadline cannot fit table2's runs");
+        assert!(err.contains("aborted"), "{err}");
     }
 
     #[test]

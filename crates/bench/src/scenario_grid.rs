@@ -20,7 +20,7 @@ use crate::context::Repro;
 use ioeval_core::campaign::{run_campaign_supervised, AppFactory, CellOutcome, GridKey};
 use ioeval_core::report::TextTable;
 use workloads::grammar::{source_digest, Grammar, EXAMPLE};
-use workloads::Scenario;
+use workloads::Workload;
 
 /// Default variant counts per scale: 16 variants × 4 configurations is
 /// the pinned 64-cell golden grid; paper scale quadruples the sample.
@@ -90,17 +90,10 @@ pub fn scenario(r: &mut Repro) -> String {
         .iter()
         .map(|v| format!("{}@{tag}", v.label))
         .collect();
-    let factories: Vec<Box<dyn Fn() -> Scenario + Sync>> = variants
-        .iter()
-        .map(|v| {
-            let v = v.clone();
-            Box::new(move || v.scenario()) as Box<dyn Fn() -> Scenario + Sync>
-        })
-        .collect();
     let apps: Vec<AppFactory> = labels
         .iter()
-        .zip(&factories)
-        .map(|(label, f)| (label.as_str(), f.as_ref()))
+        .zip(&variants)
+        .map(|(label, v)| (label.as_str(), v as &dyn Workload))
         .collect();
 
     let opts = r.charact_options(&spec);
@@ -237,6 +230,22 @@ mod tests {
         let out = scenario(&mut r);
         assert!(out.contains("cannot compile grammar"), "{out}");
         assert!(out.contains("grammar error"), "{out}");
+    }
+
+    #[test]
+    fn oversized_grammars_render_a_line_numbered_error_not_an_abort() {
+        for (src, line) in [
+            ("scenario s\nranks 99999999999\nphase p { barrier }", 2),
+            ("scenario s\nphase p repeat 4000000000 { barrier }\n", 2),
+        ] {
+            let mut r = Repro::new(Scale::Quick).with_scenario_grammar(src);
+            let out = scenario(&mut r);
+            assert!(out.contains("cannot compile grammar"), "{out}");
+            assert!(
+                out.contains(&format!("grammar error at line {line}: workload too large")),
+                "{out}"
+            );
+        }
     }
 
     #[test]

@@ -150,7 +150,7 @@ mod tests {
         set
     }
 
-    fn profile(write_mib: u64) -> AppProfile {
+    fn write_profile(write_mib: u64) -> AppProfile {
         AppProfile {
             procs: 1,
             measured: vec![MeasuredRow {
@@ -170,7 +170,7 @@ mod tests {
     #[test]
     fn prediction_uses_the_weakest_level() {
         let t = tables("cfg", 100, 40, 80);
-        let p = predict(&profile(40), &t).expect("prediction");
+        let p = predict(&write_profile(40), &t).expect("prediction");
         // 40 MiB at the weakest level (NFS, 40 MiB/s) = 1 s.
         assert_eq!(p.io_time, Time::from_secs(1));
         assert_eq!(p.bottleneck, IoLevel::GlobalFs);
@@ -182,7 +182,7 @@ mod tests {
     fn ranking_orders_by_predicted_time() {
         let slow = tables("slow", 100, 20, 80);
         let fast = tables("fast", 100, 90, 80);
-        let ranked = rank_configs(&profile(10), [&slow, &fast]);
+        let ranked = rank_configs(&write_profile(10), [&slow, &fast]);
         assert_eq!(ranked.len(), 2);
         assert_eq!(ranked[0].config, "fast");
         assert_eq!(ranked[1].config, "slow");
@@ -193,16 +193,16 @@ mod tests {
     fn empty_tables_are_skipped() {
         let empty = PerfTableSet::new("test", "empty");
         let ok = tables("ok", 50, 50, 50);
-        let ranked = rank_configs(&profile(10), [&empty, &ok]);
+        let ranked = rank_configs(&write_profile(10), [&empty, &ok]);
         assert_eq!(ranked.len(), 1);
         assert_eq!(ranked[0].config, "ok");
-        assert!(predict(&profile(10), &empty).is_none());
+        assert!(predict(&write_profile(10), &empty).is_none());
     }
 
     #[test]
     fn multiple_rows_accumulate() {
         let t = tables("cfg", 100, 50, 80);
-        let mut p = profile(50); // 1 s at 50 MiB/s
+        let mut p = write_profile(50); // 1 s at 50 MiB/s
         p.measured.push(MeasuredRow {
             op: OpType::Read,
             block: MIB,

@@ -31,12 +31,12 @@ use simcore::{Abort, FaultProfile, FaultSchedule, Time, WatchdogSpec};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use workloads::Scenario;
+use workloads::Workload;
 
-/// A named application factory: campaigns run each scenario on several
+/// A named application: campaigns run each workload on several
 /// configurations (possibly from several worker threads at once), so the
-/// workload must be constructible repeatedly from any thread.
-pub type AppFactory<'a> = (&'a str, &'a (dyn Fn() -> Scenario + Sync));
+/// [`Workload`] builds a fresh scenario per cell, from any thread.
+pub type AppFactory<'a> = (&'a str, &'a dyn Workload);
 
 /// One successfully evaluated (application × configuration) cell.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -657,7 +657,7 @@ fn for_each_cell(total: usize, jobs: usize, work: &(impl Fn(usize) + Sync)) {
 fn evaluate_cell(
     spec: &ClusterSpec,
     config: &IoConfig,
-    factory: &(dyn Fn() -> Scenario + Sync),
+    workload: &dyn Workload,
     tset: &PerfTableSet,
     sup: &SuperviseOptions,
     app: &str,
@@ -685,7 +685,7 @@ fn evaluate_cell(
                 // Chaos cell boundary: an installed host-fault plan may kill
                 // this worker here, exactly as a crashed worker thread would.
                 simcore::chaos::panic_point(simcore::chaos::ChaosSite::WorkerPanic);
-                evaluate(spec, config, factory(), tset, &eopts)
+                evaluate(spec, config, workload.scenario(), tset, &eopts)
             })
         };
         let observed = collector.as_ref().map(|c| c.take());
@@ -906,7 +906,7 @@ pub fn run_campaign_supervised(
     let merger = Mutex::new(merger);
     for_each_cell(total, sup.jobs, &|idx| {
         let (ai, ci) = (idx / configs.len(), idx % configs.len());
-        let (app, factory) = apps[ai];
+        let (app, workload) = apps[ai];
         let config = &configs[ci];
         let cfg = config.name.as_str();
         let early = {
@@ -930,7 +930,7 @@ pub fn run_campaign_supervised(
                     let tset =
                         &tables[table_of[ci].expect("non-quarantined configs are characterized")];
                     CellAttempt::Ran {
-                        outcome: evaluate_cell(spec, config, factory, tset, sup, app, cfg),
+                        outcome: evaluate_cell(spec, config, workload, tset, sup, app, cfg),
                         from_store: false,
                     }
                 }
@@ -970,7 +970,7 @@ mod tests {
     use cluster::{presets, DeviceLayout, IoConfigBuilder};
     use mpisim::{MpiOp, OpStream};
     use simcore::KIB;
-    use workloads::{BtClass, BtIo, BtSubtype};
+    use workloads::{BtClass, BtIo, BtSubtype, Scenario};
 
     fn quick_configs() -> Vec<IoConfig> {
         vec![

@@ -18,7 +18,7 @@ use crate::trace::{AppProfile, ProfileSink};
 use cluster::{ClusterMachine, ClusterSpec, ConfigError, IoConfig, Mount};
 use fs::FileId;
 use mpisim::{RunStats, Runtime};
-use simcore::obs::NoSink;
+use simcore::obs::{NoSink, ObsSink};
 use simcore::{Abort, Bandwidth, Time, WatchdogSpec, KIB, MIB};
 use workloads::ior::{paper_block_sweep, Ior, IorOp};
 use workloads::iozone::{paper_record_sweep, IozonePattern, IozoneRun};
@@ -146,36 +146,35 @@ impl CharacterizeOptions {
 /// File ids reserved for characterization workloads.
 const CHARACT_FILE: FileId = FileId(0xC4A2);
 
-/// Runs one scenario on a fresh machine; returns the run stats.
+/// Runs one scenario on a fresh machine into `sink`; returns the run
+/// stats.
 fn run_fresh(
     spec: &ClusterSpec,
     config: &IoConfig,
     scenario: Scenario,
     watchdog: Option<&WatchdogSpec>,
+    sink: &mut dyn ObsSink,
 ) -> Result<RunStats, CharactError> {
     let ranks = scenario.ranks();
     let workload = scenario.name.clone();
     let mut machine = ClusterMachine::try_new(spec, config)?;
     let programs = scenario.install(&mut machine);
     let placement = spec.placement(ranks);
-    let mut sink = NoSink;
     Runtime::default()
         .run_supervised(
             &mut machine,
             &placement,
             programs,
-            &mut sink,
+            sink,
             watchdog.map(WatchdogSpec::arm),
         )
         .map_err(|e| match e {
             mpisim::RunError::Aborted(abort) => CharactError::Aborted { workload, abort },
-            // Characterization scenarios are built internally from already
-            // validated configurations; an invalid program here is a bug in
-            // this crate, not an input error.
+            // An invalid program is a bug in the generator that built it,
+            // not an input error: reported by panic, as `Runtime::run`
+            // does.
             mpisim::RunError::Invalid(fault) => {
-                unreachable!(
-                    "characterization workload '{workload}' built an invalid program: {fault}"
-                )
+                panic!("characterization workload '{workload}' built an invalid program: {fault}")
             }
         })
 }
@@ -254,7 +253,13 @@ fn characterize_fs_level(
                 }
                 let run = IozoneRun::new(CHARACT_FILE, file_size, record, iozone_pattern(op, mode))
                     .on(mount);
-                let stats = run_fresh(spec, config, run.scenario(), opts.watchdog.as_ref())?;
+                let stats = run_fresh(
+                    spec,
+                    config,
+                    run.scenario(),
+                    opts.watchdog.as_ref(),
+                    &mut NoSink,
+                )?;
                 let (rate, iops, latency) = point_metrics(&stats);
                 let row = PerfRow {
                     op,
@@ -312,7 +317,13 @@ fn characterize_library_level(
                     Mount::NfsDirect
                 },
             };
-            let stats = run_fresh(spec, config, ior.scenario(), opts.watchdog.as_ref())?;
+            let stats = run_fresh(
+                spec,
+                config,
+                ior.scenario(),
+                opts.watchdog.as_ref(),
+                &mut NoSink,
+            )?;
             let (rate, iops, latency) = point_metrics(&stats);
             let row = PerfRow {
                 op,
@@ -374,19 +385,17 @@ pub fn characterize_system_memo(
 }
 
 /// Phase 1b: characterizes an application by running its scenario under
-/// `config` with the tracing sink attached (paper Fig. 7; Tables II/V/VIII).
+/// `config` with the tracing sink attached (paper Fig. 7; Tables II/V/VIII),
+/// under `watchdog`'s budgets when given. The healthy evaluation of the
+/// same run carries the identical profile ([`crate::eval::EvalReport`]).
 pub fn characterize_app(
     spec: &ClusterSpec,
     config: &IoConfig,
     scenario: Scenario,
-    placement: Option<Vec<usize>>,
+    watchdog: Option<&WatchdogSpec>,
 ) -> Result<AppProfile, CharactError> {
-    let ranks = scenario.ranks();
-    let mut machine = ClusterMachine::try_new(spec, config)?;
-    let programs = scenario.install(&mut machine);
-    let placement = placement.unwrap_or_else(|| spec.placement(ranks));
-    let mut sink = ProfileSink::new(ranks);
-    Runtime::default().run(&mut machine, &placement, programs, &mut sink);
+    let mut sink = ProfileSink::new(scenario.ranks());
+    run_fresh(spec, config, scenario, watchdog, &mut sink)?;
     Ok(sink.finish())
 }
 
@@ -475,6 +484,43 @@ mod tests {
         // Class S / 4 procs: line sizes 5×8×12 = 480 bytes only.
         assert_eq!(profile.write_sizes.len(), 1);
         assert_eq!(profile.write_sizes[0].0, 480);
+    }
+
+    #[test]
+    fn healthy_evaluation_carries_the_characterize_app_profile() {
+        use crate::eval::{evaluate, EvalOptions};
+        use workloads::{FileType, MadBench, Workload};
+        let (spec, config) = quick_setup();
+        let tables = PerfTableSet::new(spec.name.clone(), config.name.clone());
+        let bt = BtIo::new(BtClass::S, 4, BtSubtype::Full).with_dumps(2);
+        let mb = MadBench::new(4, FileType::Unique).with_kpix(1);
+        for app in [&bt as &dyn Workload, &mb] {
+            let profile = characterize_app(&spec, &config, app.scenario(), None).unwrap();
+            let report = evaluate(
+                &spec,
+                &config,
+                app.scenario(),
+                &tables,
+                &EvalOptions::default(),
+            )
+            .unwrap();
+            assert_eq!(
+                serde_json::to_string(&report.profile).unwrap(),
+                serde_json::to_string(&profile).unwrap(),
+                "{}",
+                report.app
+            );
+        }
+    }
+
+    #[test]
+    fn app_characterization_honours_the_watchdog() {
+        let (spec, config) = quick_setup();
+        let bt = BtIo::new(BtClass::S, 4, BtSubtype::Full).with_dumps(2);
+        let deadline = WatchdogSpec::sim_deadline(Time(1));
+        let err = characterize_app(&spec, &config, bt.scenario(), Some(&deadline))
+            .expect_err("a 1 ns deadline aborts the run");
+        assert!(matches!(err, CharactError::Aborted { .. }), "{err}");
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //! Two tiers:
 //!
 //! * **memory** — a map of digest-verified JSON payloads for the kinds
-//!   that are reused within a process (measurement phases, app profiles,
-//!   eval reports). A payload whose digest no longer
-//!   matches (real corruption, or an injected
-//!   [`ChaosSite::MemoLoad`] fault) is quarantined and reported as a miss;
+//!   that are reused within a process (measurement phases and eval
+//!   reports; an application profile is its healthy report's `profile`).
+//!   A payload whose digest no longer matches (real corruption, or an
+//!   injected [`ChaosSite::MemoLoad`] fault) is quarantined and reported
+//!   as a miss;
 //! * **disk** — an optional [`CheckpointDir`] behind the memory map. Every
 //!   kind is written there when a directory is attached, so an interrupted
 //!   run resumes from what it finished. Cell outcomes and experiment
@@ -41,8 +42,6 @@ use std::sync::Mutex;
 pub enum Kind {
     /// One characterization measurement (`PerfRow`).
     Phase,
-    /// One application characterization (`AppProfile`).
-    Profile,
     /// One evaluation (`EvalReport`).
     Report,
     /// One campaign cell (`CellOutcome`); disk only.
@@ -52,19 +51,12 @@ pub enum Kind {
 }
 
 impl Kind {
-    const ALL: [Kind; 5] = [
-        Kind::Phase,
-        Kind::Profile,
-        Kind::Report,
-        Kind::Cell,
-        Kind::Exp,
-    ];
+    const ALL: [Kind; 4] = [Kind::Phase, Kind::Report, Kind::Cell, Kind::Exp];
 
     /// The file-name prefix.
     fn name(self) -> &'static str {
         match self {
             Kind::Phase => "phase",
-            Kind::Profile => "profile",
             Kind::Report => "report",
             Kind::Cell => "cell",
             Kind::Exp => "exp",
@@ -75,7 +67,7 @@ impl Kind {
     /// out: a campaign never revisits its own cells, and serializing
     /// thousands of multi-KB reports would cost more than it saves.
     fn in_memory(self) -> bool {
-        matches!(self, Kind::Phase | Kind::Profile | Kind::Report)
+        matches!(self, Kind::Phase | Kind::Report)
     }
 }
 
@@ -191,7 +183,7 @@ struct Counters {
 pub struct Store {
     memory: Mutex<HashMap<Key, Entry>>,
     disk: Option<CheckpointDir>,
-    counters: [Counters; 5],
+    counters: [Counters; 4],
     quarantined: AtomicU64,
     serialize_errors: AtomicU64,
 }
@@ -387,10 +379,10 @@ mod tests {
         assert_ne!(base, key(&spec, &config2, &opts));
         assert_ne!(base, key(&spec, &config, &opts2));
         // Same inputs, different kind: a different key and file.
-        let profile = Key::of(Kind::Profile, &(&spec, &config, &opts));
-        assert_eq!(profile.digest, base.digest);
-        assert_ne!(profile, base);
-        assert_ne!(profile.file_stem(), base.file_stem());
+        let report = Key::of(Kind::Report, &(&spec, &config, &opts));
+        assert_eq!(report.digest, base.digest);
+        assert_ne!(report, base);
+        assert_ne!(report.file_stem(), base.file_stem());
     }
 
     #[test]
@@ -415,7 +407,6 @@ mod tests {
         assert_eq!(store.kind_stats(Kind::Phase), (1, 1));
         // Other kinds' counters are untouched by phase traffic.
         assert_eq!(store.kind_stats(Kind::Report), (0, 0));
-        assert_eq!(store.kind_stats(Kind::Profile), (0, 0));
         assert_eq!(store.stats(), (1, 1));
     }
 

@@ -49,12 +49,14 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// Runs `f`, converting a panic into `Err(message)` instead of unwinding
 /// the caller. Panic-hook output is suppressed for the duration (on this
-/// thread only), so expected cell failures don't spray stderr.
+/// thread only), so expected cell failures don't spray stderr. Calls nest:
+/// a campaign cell isolated inside an isolated `repro` experiment restores
+/// the experiment's suppression when it returns.
 pub fn run_isolated<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     install_wrapper_hook();
-    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(true));
+    let outer = SUPPRESS_PANIC_OUTPUT.with(|s| s.replace(true));
     let result = catch_unwind(AssertUnwindSafe(f));
-    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(false));
+    SUPPRESS_PANIC_OUTPUT.with(|s| s.set(outer));
     result.map_err(|payload| panic_message(payload.as_ref()))
 }
 
@@ -84,6 +86,18 @@ mod tests {
     fn panics_outside_run_isolated_still_unwind_normally() {
         // After a suppressed panic, the flag must be cleared again.
         let _ = run_isolated(|| -> u32 { panic!("suppressed") });
+        assert!(!SUPPRESS_PANIC_OUTPUT.with(Cell::get));
+    }
+
+    #[test]
+    fn nested_calls_keep_the_outer_suppression() {
+        let err = run_isolated(|| -> u32 {
+            let _ = run_isolated(|| "inner cell");
+            assert!(SUPPRESS_PANIC_OUTPUT.with(Cell::get));
+            panic!("outer")
+        })
+        .unwrap_err();
+        assert_eq!(err, "outer");
         assert!(!SUPPRESS_PANIC_OUTPUT.with(Cell::get));
     }
 

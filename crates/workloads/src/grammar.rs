@@ -140,6 +140,16 @@ impl Dist {
             }
         }
     }
+
+    /// The largest value the distribution can draw.
+    fn max(&self) -> u64 {
+        match self {
+            Dist::Fixed(v) => *v,
+            Dist::Choice(vs) => vs.iter().copied().max().unwrap_or(0),
+            Dist::Uniform { hi, .. } => *hi,
+            Dist::Pow2 { hi, .. } => prev_power_of_two(*hi),
+        }
+    }
 }
 
 fn prev_power_of_two(v: u64) -> u64 {
@@ -470,6 +480,46 @@ impl Parser {
     }
 }
 
+/// Rejects a grammar whose variants could exceed [`MAX_RANK_OPS`].
+fn check_work(ranks: &Dist, ops_per_rank: u64, line: usize) -> Result<(), GrammarError> {
+    let (ranks, ops_per_rank) = (ranks.max(), ops_per_rank.max(1));
+    if ranks.saturating_mul(ops_per_rank) <= MAX_RANK_OPS {
+        return Ok(());
+    }
+    Err(GrammarError {
+        line,
+        message: format!(
+            "workload too large: up to {ranks} ranks x {ops_per_rank} ops per rank \
+             exceeds the ceiling of {MAX_RANK_OPS} rank-ops"
+        ),
+    })
+}
+
+/// Ceiling on the work one variant may describe: ranks × MPI ops per rank,
+/// each bounded by its distributions' maxima at parse time. Variants are
+/// expanded eagerly (every resolved step is stored, every rank gets a
+/// program), so a grammar over this ceiling is rejected with a
+/// [`GrammarError`] rather than exhausting memory when sampled or run.
+pub const MAX_RANK_OPS: u64 = 1 << 22;
+
+/// Upper bound on the MPI ops one execution of `rules` issues per rank:
+/// an I/O rule issues up to its largest `count`, every other step one op,
+/// branches take their largest arm, and loops multiply (an empty body
+/// still costs one per iteration: the sampler walks every iteration).
+/// Saturates instead of overflowing (a saturated bound is over any
+/// ceiling).
+fn max_ops(rules: &[Rule]) -> u64 {
+    rules.iter().fold(0u64, |acc, rule| {
+        let ops = match rule {
+            Rule::Io { count, .. } => count.max(),
+            Rule::Compute(_) | Rule::Barrier | Rule::Sync(_) => 1,
+            Rule::Loop { count, body } => count.max().saturating_mul(max_ops(body).max(1)),
+            Rule::Choose { arms } => arms.iter().map(|(_, b)| max_ops(b)).max().unwrap_or(0),
+        };
+        acc.saturating_add(ops)
+    })
+}
+
 impl Grammar {
     /// Parses a grammar from its text form.
     pub fn parse(src: &str) -> Result<Grammar, GrammarError> {
@@ -481,7 +531,13 @@ impl Grammar {
         let mut ranks = Dist::Fixed(1);
         let mut files: Vec<FileDecl> = Vec::new();
         let mut phases: Vec<PhaseRule> = Vec::new();
+        // Ops per rank so far: each file adds at most an open, a sync and
+        // a close around the phases.
+        let mut ops = 0u64;
         while let Some(kw) = p.peek() {
+            // The line of the directive that pushes the bound over the
+            // ceiling is the one the error names.
+            let line = p.toks[p.pos].line;
             match kw {
                 "scenario" => {
                     p.pos += 1;
@@ -490,6 +546,7 @@ impl Grammar {
                 "ranks" => {
                     p.pos += 1;
                     ranks = p.dist("ranks")?;
+                    check_work(&ranks, ops, line)?;
                 }
                 "file" => {
                     p.pos += 1;
@@ -515,6 +572,8 @@ impl Grammar {
                         None
                     };
                     files.push(FileDecl { name: fname, mount });
+                    ops = ops.saturating_add(3);
+                    check_work(&ranks, ops, line)?;
                 }
                 "phase" => {
                     p.pos += 1;
@@ -526,6 +585,8 @@ impl Grammar {
                         Dist::Fixed(1)
                     };
                     let body = p.block(&files)?;
+                    ops = ops.saturating_add(repeat.max().saturating_mul(max_ops(&body).max(1)));
+                    check_work(&ranks, ops, line)?;
                     phases.push(PhaseRule {
                         name: pname,
                         repeat,
@@ -976,6 +1037,23 @@ mod tests {
         assert_eq!(a.digest, b.digest);
         let c = Grammar::parse("scenario s\nphase p { barrier barrier }").unwrap();
         assert_ne!(a.digest, c.digest);
+    }
+
+    #[test]
+    fn work_is_bounded_by_distribution_maxima_at_parse_time() {
+        let at_ceiling = "scenario s\nranks 2|4\nphase p repeat 1..1048576 { barrier }";
+        assert!(Grammar::parse(at_ceiling).is_ok());
+        let over = "scenario s\nranks 2|4\nphase p repeat 1..1048577 { barrier }";
+        assert_eq!(Grammar::parse(over).expect_err("over the ceiling").line, 3);
+        // Loops multiply and a branch counts its largest arm; a `ranks`
+        // directive after the phases is checked against them too.
+        let nested = "scenario s\nfile f\nphase p {\n choose { loop 1024 { write f block 1K count 1024 } } or 9 { barrier }\n}\nranks 5";
+        let err = Grammar::parse(nested).expect_err("5 x 1M ops");
+        assert_eq!(err.line, 6);
+        assert!(err.message.contains("workload too large"), "{err}");
+        // Empty bodies are walked too.
+        let empty = "scenario s\nphase p repeat 4000000000 { loop 2 { } }";
+        assert_eq!(Grammar::parse(empty).expect_err("8G iterations").line, 2);
     }
 
     #[test]

@@ -27,7 +27,8 @@
 //!
 //! Each generator returns a [`scenario::Scenario`]: per-rank op streams
 //! plus file-mount routing and preallocation directives for the
-//! [`cluster::ClusterMachine`].
+//! [`cluster::ClusterMachine`]. The generators also implement
+//! [`Workload`], the value campaigns and result stores run and key by.
 //!
 //! Beyond the hand-coded generators, [`grammar`] provides a declarative
 //! scenario grammar — phases, loops, probabilistic branches, and
@@ -51,4 +52,17 @@ pub use ior::{Ior, IorOp};
 pub use iozone::{IozonePattern, IozoneRun};
 pub use madbench::{FileType, MadBench};
 pub use mdtest::{Mdtest, MdtestVariant};
-pub use scenario::Scenario;
+pub use scenario::{Scenario, Workload};
+
+/// The generators are workloads through their inherent `scenario`.
+macro_rules! workload_impls {
+    ($($t:ty),*) => {$(
+        impl Workload for $t {
+            fn scenario(&self) -> Scenario {
+                <$t>::scenario(self)
+            }
+        }
+    )*};
+}
+
+workload_impls!(BtIo, MadBench, Ior, Mdtest, Variant);

@@ -36,6 +36,23 @@ impl Scenario {
     }
 }
 
+/// A workload value: anything that builds a fresh [`Scenario`] on demand,
+/// from any thread. Campaigns and result stores take workloads rather
+/// than scenarios because a scenario is consumed by one run, while the
+/// workload can be run again and (through its `Debug` rendering) names
+/// itself.
+pub trait Workload: Sync {
+    /// Builds the runnable scenario.
+    fn scenario(&self) -> Scenario;
+}
+
+/// Closures are workloads too (test fakes, ad-hoc generators).
+impl<F: Fn() -> Scenario + Sync> Workload for F {
+    fn scenario(&self) -> Scenario {
+        self()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -76,6 +76,6 @@ pub mod prelude {
     pub use crate::simcore::{Abort, Bandwidth, Time, Watchdog, WatchdogSpec, GIB, KIB, MIB};
     pub use crate::workloads::{
         self, BtClass, BtIo, BtSubtype, FileType, Ior, IorOp, IozonePattern, IozoneRun, MadBench,
-        Mdtest, MdtestVariant, Scenario,
+        Mdtest, MdtestVariant, Scenario, Workload,
     };
 }
