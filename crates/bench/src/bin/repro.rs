@@ -17,7 +17,9 @@
 //! (see `DESIGN.md` §5k), the sampler draws `N` concrete variants under
 //! seed `S`, and the variant × configuration grid runs as one supervised
 //! campaign — 10k+ cells sweep fine under `--jobs`, with byte-identical
-//! output for any worker count.
+//! output for any worker count. A grammar file that does not parse (bad
+//! syntax, or more work than `grammar::MAX_RANK_OPS`) is rejected with
+//! its line-numbered error and exit code 2 before any experiment runs.
 //!
 //! Experiments are named after the paper's artifacts (`table3`, `fig12`,
 //! ...); `all` runs the full evaluation section in order. `--scale paper`
@@ -78,7 +80,7 @@
 //! the PFS table entirely (the experiment renders exactly its RAID-only
 //! output).
 //!
-//! `--chaos-seed N` installs a deterministic host-fault plan drawn under
+//! `--chaos-seed N` arms a deterministic host-fault plan drawn under
 //! `--chaos-profile` (`store`, `panic`, `memo`, `trace`, or the default
 //! `mixed`) that injects failures into the campaign *runtime* — torn or
 //! failed checkpoint writes, ENOSPC, worker panics at cell boundaries,
@@ -97,6 +99,7 @@ use ioeval_core::supervise::run_isolated;
 use simcore::chaos::{ChaosProfile, HostFaultPlan};
 use simcore::{Time, WatchdogSpec};
 use std::io::Write as _;
+use workloads::Grammar;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -292,15 +295,18 @@ fn main() {
         }
         (None, None) => None,
     };
-    let chaos_guard = plan.map(|p| {
-        eprintln!("[chaos] installing host-fault plan: {}", p.token());
-        simcore::chaos::install(p)
-    });
 
     let mut repro = Repro::new(scale).with_pfs_profile(pfs_profile);
+    if let Some(plan) = plan {
+        eprintln!("[chaos] arming host-fault plan: {}", plan.token());
+        repro = repro.with_host_faults(plan);
+    }
     if let Some(path) = &grammar_file {
         let src = std::fs::read_to_string(path)
             .unwrap_or_else(|e| die(&format!("cannot read --grammar {path}: {e}")));
+        if let Err(e) = Grammar::parse(&src) {
+            die(&format!("bad --grammar {path}: {e}"));
+        }
         repro = repro.with_scenario_grammar(src);
     }
     if let Some(n) = scenario_sample {
@@ -379,7 +385,7 @@ fn main() {
         // A trace is a secondary artifact: a failed export (real or
         // injected) is reported and swallowed — it never poisons the
         // evaluation results or the exit code.
-        if bench::write_artifact("trace", std::path::Path::new(&path), &text) {
+        if repro.write_artifact("trace", std::path::Path::new(&path), &text) {
             let events: usize = runs.iter().map(|(_, d)| d.events.len()).sum();
             eprintln!(
                 "[repro] wrote {} ({} runs, {events} events)",
@@ -400,25 +406,14 @@ fn main() {
             .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
         eprintln!("[repro] wrote {path}");
     }
-    if let Some(guard) = &chaos_guard {
-        let fired = guard.fired();
-        let token = HostFaultPlan::from_injections(
-            fired
-                .iter()
-                .map(|f| simcore::chaos::Injection {
-                    site: f.site,
-                    nth: f.nth,
-                    action: f.action,
-                })
-                .collect(),
-        )
-        .token();
+    if let Some(faults) = repro.store().host_faults() {
+        let fired = faults.fired();
+        let count = fired.len();
+        let token = HostFaultPlan::from_injections(fired).token();
         eprintln!(
-            "[chaos] {} of the planned injections fired (replay what fired: --chaos-repro '{token}')",
-            fired.len()
+            "[chaos] {count} of the planned injections fired (replay what fired: --chaos-repro '{token}')"
         );
     }
-    drop(chaos_guard);
     let health = repro.store_health();
     if health.any() {
         eprintln!("[repro] store health: {}", health.summary());
@@ -466,7 +461,8 @@ fn usage() {
          --strict-store exits 3 if store-level damage survived the run;\n\
          --grammar/--sample/--seed parameterize the scenario experiment: a\n\
          grammar file describing a workload space, how many variants to draw,\n\
-         and the sampler seed (grid identity keys the checkpoint)."
+         and the sampler seed (grid identity keys the checkpoint); a grammar\n\
+         that does not parse exits 2 before any experiment runs."
     );
 }
 

@@ -7,6 +7,7 @@ use ioeval_core::eval::{evaluate, EvalOptions, EvalReport, FaultScenario};
 use ioeval_core::obs::{Collector, MetricsHub, ObsData, TraceMeta};
 use ioeval_core::perf_table::{AccessMode, PerfTableSet};
 use ioeval_core::store::{Key, Kind, Store, StoreHealth};
+use simcore::chaos::{ChaosSite, HostFaultPlan};
 use simcore::{Time, WatchdogSpec, KIB, MIB};
 use std::fmt::Debug;
 use std::path::PathBuf;
@@ -249,8 +250,16 @@ impl Repro {
     /// Attaches a durable checkpoint directory behind the result store:
     /// every result persists there and is restored on the next run.
     pub fn with_checkpoint(mut self, path: impl Into<PathBuf>) -> std::io::Result<Repro> {
-        self.store = Store::open(path)?;
+        self.store = std::mem::take(&mut self.store).with_checkpoint(path)?;
         Ok(self)
+    }
+
+    /// Arms a host-fault plan on the result store (see
+    /// [`Store::with_host_faults`]); trace exports through
+    /// [`Repro::write_artifact`] fire its faults too.
+    pub fn with_host_faults(mut self, plan: HostFaultPlan) -> Repro {
+        self.store = std::mem::take(&mut self.store).with_host_faults(plan);
+        self
     }
 
     /// Applies watchdog budgets to every simulation this context runs.
@@ -456,29 +465,32 @@ impl Repro {
         self.store.put(store_key, &report);
         report
     }
-}
 
-/// Best-effort write of a *secondary* artifact (trace export, metrics
-/// dump). Export failures — real or injected via
-/// [`simcore::chaos::ChaosSite::TraceWrite`] — must never poison the
-/// evaluation results, so errors are reported to stderr and swallowed.
-/// Returns whether the artifact reached disk. Primary results (`--out`)
-/// do not go through here; losing those is an error worth dying for.
-pub fn write_artifact(label: &str, path: &std::path::Path, content: &str) -> bool {
-    use simcore::chaos::{self, ChaosSite};
-    let result = if chaos::decide(ChaosSite::TraceWrite).is_some() {
-        Err(std::io::Error::other("injected trace write failure"))
-    } else {
-        std::fs::write(path, content)
-    };
-    match result {
-        Ok(()) => true,
-        Err(e) => {
-            eprintln!(
-                "[repro] cannot write {label} {} (evaluation results unaffected): {e}",
-                path.display()
-            );
-            false
+    /// Best-effort write of a *secondary* artifact (trace export, metrics
+    /// dump). Export failures — real or injected at
+    /// [`ChaosSite::TraceWrite`] by the store's armed host faults — must
+    /// never poison the evaluation results, so errors are reported to
+    /// stderr and swallowed. Returns whether the artifact reached disk.
+    /// Primary results (`--out`) do not go through here; losing those is
+    /// an error worth dying for.
+    pub fn write_artifact(&self, label: &str, path: &std::path::Path, content: &str) -> bool {
+        let injected = self
+            .store
+            .host_faults()
+            .and_then(|f| f.decide(ChaosSite::TraceWrite));
+        let result = match injected {
+            Some(_) => Err(std::io::Error::other("injected trace write failure")),
+            None => std::fs::write(path, content),
+        };
+        match result {
+            Ok(()) => true,
+            Err(e) => {
+                eprintln!(
+                    "[repro] cannot write {label} {} (evaluation results unaffected): {e}",
+                    path.display()
+                );
+                false
+            }
         }
     }
 }

@@ -20,4 +20,4 @@ pub mod context;
 pub mod experiments;
 pub mod scenario_grid;
 
-pub use context::{write_artifact, PfsFaultProfile, Repro, Scale};
+pub use context::{PfsFaultProfile, Repro, Scale};

@@ -1,22 +1,13 @@
 //! Fault-by-fault recovery behavior of the self-healing checkpoint store
 //! and the tolerant artifact writer, driven by `simcore::chaos` injection.
-//!
-//! Chaos plans are process-global; every test here serializes on
-//! [`CHAOS_LOCK`].
+//! Each test arms its plan on its own store.
 
-use bench::write_artifact;
-use ioeval_core::checkpoint::{CheckpointDir, WriteRetry};
-use simcore::chaos::{self, ChaosAction, ChaosSite, HostFaultPlan, Injection};
+use bench::{Repro, Scale};
+use ioeval_core::checkpoint::CheckpointDir;
+use ioeval_core::store::Store;
+use simcore::chaos::{ChaosAction, ChaosSite, HostFaultPlan, Injection};
 use std::fs;
-use std::path::PathBuf;
-use std::sync::Mutex;
-use std::time::Duration;
-
-static CHAOS_LOCK: Mutex<()> = Mutex::new(());
-
-fn chaos_lock() -> std::sync::MutexGuard<'static, ()> {
-    CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::path::{Path, PathBuf};
 
 fn scratch(name: &str) -> PathBuf {
     let dir =
@@ -25,13 +16,9 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// Retries with no real sleeping, so exhausting them stays instant.
-fn fast_retry() -> WriteRetry {
-    WriteRetry {
-        attempts: 3,
-        backoff: Duration::from_nanos(1),
-        ..WriteRetry::default()
-    }
+/// A store over `root` with `plan` armed.
+fn armed(root: &Path, plan: HostFaultPlan) -> Store {
+    Store::open(root).unwrap().with_host_faults(plan)
 }
 
 /// A plan failing every write attempt of the first save (three attempts).
@@ -49,17 +36,12 @@ fn kill_first_save(action: ChaosAction) -> HostFaultPlan {
 
 #[test]
 fn single_write_failure_heals_by_retrying() {
-    let _l = chaos_lock();
-    let dir = CheckpointDir::new(scratch("retry"))
-        .unwrap()
-        .with_retry(fast_retry());
-    let guard = chaos::install(HostFaultPlan::single(
-        ChaosSite::CheckpointWrite,
-        0,
-        ChaosAction::Fail,
-    ));
+    let store = armed(
+        &scratch("retry"),
+        HostFaultPlan::single(ChaosSite::CheckpointWrite, 0, ChaosAction::Fail),
+    );
+    let dir = store.dir().unwrap();
     dir.save("k", "payload");
-    drop(guard);
     let health = dir.health();
     assert_eq!(health.write_retries, 1, "first attempt failed, second won");
     assert_eq!(health.write_failures, 0);
@@ -70,12 +52,10 @@ fn single_write_failure_heals_by_retrying() {
 
 #[test]
 fn exhausted_enospc_retries_degrade_to_memory_and_replay() {
-    let _l = chaos_lock();
     let root = scratch("enospc");
-    let dir = CheckpointDir::new(&root).unwrap().with_retry(fast_retry());
-    let guard = chaos::install(kill_first_save(ChaosAction::Enospc));
+    let store = armed(&root, kill_first_save(ChaosAction::Enospc));
+    let dir = store.dir().unwrap();
     dir.save("k", "precious");
-    drop(guard);
     let health = dir.health();
     assert_eq!(health.write_retries, 2);
     assert_eq!(health.write_failures, 1);
@@ -97,14 +77,12 @@ fn exhausted_enospc_retries_degrade_to_memory_and_replay() {
 
 #[test]
 fn torn_write_leaves_damage_a_fresh_store_quarantines() {
-    let _l = chaos_lock();
     let root = scratch("torn");
-    let dir = CheckpointDir::new(&root).unwrap().with_retry(fast_retry());
     // Every attempt tears mid-write: damage lands *in place* on the target
     // file (a torn write bypasses temp+rename by design).
-    let guard = chaos::install(kill_first_save(ChaosAction::Torn { sixteenths: 8 }));
+    let store = armed(&root, kill_first_save(ChaosAction::Torn { sixteenths: 8 }));
+    let dir = store.dir().unwrap();
     dir.save("k", "half of me will be missing");
-    drop(guard);
     assert!(dir.health().degraded);
     // The wounded store itself replays from the overlay.
     assert_eq!(dir.load("k").as_deref(), Some("half of me will be missing"));
@@ -130,18 +108,13 @@ fn torn_write_leaves_damage_a_fresh_store_quarantines() {
 
 #[test]
 fn serialization_faults_are_counted_not_fatal() {
-    let _l = chaos_lock();
-    let dir = CheckpointDir::new(scratch("ser"))
-        .unwrap()
-        .with_retry(fast_retry());
-    let guard = chaos::install(HostFaultPlan::single(
-        ChaosSite::StoreSerialize,
-        0,
-        ChaosAction::Fail,
-    ));
+    let store = armed(
+        &scratch("ser"),
+        HostFaultPlan::single(ChaosSite::StoreSerialize, 0, ChaosAction::Fail),
+    );
+    let dir = store.dir().unwrap();
     dir.save("k", "never serialized");
     dir.save("k2", "fine");
-    drop(guard);
     let health = dir.health();
     assert_eq!(health.serialize_errors, 1);
     assert_eq!(health.write_failures, 0, "the write layer never ran for k");
@@ -151,22 +124,20 @@ fn serialization_faults_are_counted_not_fatal() {
 
 #[test]
 fn artifact_write_faults_never_poison_the_caller() {
-    let _l = chaos_lock();
     let root = scratch("artifact");
     fs::create_dir_all(&root).unwrap();
     let path = root.join("trace.json");
-    let guard = chaos::install(HostFaultPlan::single(
+    let repro = Repro::new(Scale::Quick).with_host_faults(HostFaultPlan::single(
         ChaosSite::TraceWrite,
         0,
         ChaosAction::Fail,
     ));
     assert!(
-        !write_artifact("trace", &path, "{}"),
+        !repro.write_artifact("trace", &path, "{}"),
         "the injected failure is reported, not thrown"
     );
     assert!(!path.exists());
     // The next export (injection spent) succeeds.
-    assert!(write_artifact("trace", &path, "{}"));
-    drop(guard);
+    assert!(repro.write_artifact("trace", &path, "{}"));
     assert_eq!(fs::read_to_string(&path).unwrap(), "{}");
 }

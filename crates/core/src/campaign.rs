@@ -27,6 +27,7 @@ use crate::store::{Key, Kind, Store, StoreHealth};
 use crate::supervise::run_isolated;
 use cluster::{ClusterSpec, IoConfig};
 use serde::{Deserialize, Serialize};
+use simcore::chaos::{is_host_fault_panic, ChaosSite, HostFaults};
 use simcore::{Abort, FaultProfile, FaultSchedule, Time, WatchdogSpec};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -660,6 +661,7 @@ fn evaluate_cell(
     workload: &dyn Workload,
     tset: &PerfTableSet,
     sup: &SuperviseOptions,
+    faults: Option<&HostFaults>,
     app: &str,
     cfg: &str,
 ) -> CellOutcome {
@@ -682,9 +684,11 @@ fn evaluate_cell(
         let result = {
             let _guard = collector.as_ref().map(crate::obs::Collector::install);
             run_isolated(|| {
-                // Chaos cell boundary: an installed host-fault plan may kill
+                // Chaos cell boundary: the store's armed host faults may kill
                 // this worker here, exactly as a crashed worker thread would.
-                simcore::chaos::panic_point(simcore::chaos::ChaosSite::WorkerPanic);
+                if let Some(faults) = faults {
+                    faults.panic_point(ChaosSite::WorkerPanic);
+                }
                 evaluate(spec, config, workload.scenario(), tset, &eopts)
             })
         };
@@ -726,7 +730,7 @@ fn evaluate_cell(
             // re-run, and keep the retry invisible to attempt accounting so
             // outcomes — and anything persisted from them — are identical
             // to a fault-free run.
-            Err(panic) if simcore::chaos::is_host_fault_panic(&panic) => {
+            Err(panic) if is_host_fault_panic(&panic) => {
                 attempts -= 1;
                 continue;
             }
@@ -904,6 +908,7 @@ pub fn run_campaign_supervised(
     let merger = CellMerger::new(&app_names, &config_names, quarantined, sup.quarantine_after);
     let total = merger.total();
     let merger = Mutex::new(merger);
+    let faults = store.host_faults();
     for_each_cell(total, sup.jobs, &|idx| {
         let (ai, ci) = (idx / configs.len(), idx % configs.len());
         let (app, workload) = apps[ai];
@@ -930,7 +935,7 @@ pub fn run_campaign_supervised(
                     let tset =
                         &tables[table_of[ci].expect("non-quarantined configs are characterized")];
                     CellAttempt::Ran {
-                        outcome: evaluate_cell(spec, config, workload, tset, sup, app, cfg),
+                        outcome: evaluate_cell(spec, config, workload, tset, sup, faults, app, cfg),
                         from_store: false,
                     }
                 }

@@ -29,14 +29,14 @@
 
 use crate::store::StoreHealth;
 use serde::{Deserialize, Serialize};
-use simcore::chaos::{self, ChaosAction, ChaosSite};
+use simcore::chaos::{ChaosAction, ChaosSite, HostFaults};
 use simcore::{fnv1a64, SplitMix64};
 use std::collections::HashMap;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Bump when the on-disk layout of any payload changes; older checkpoints
@@ -52,35 +52,18 @@ struct Envelope {
     payload: String,
 }
 
-/// Bounded-retry policy for checkpoint writes. The jitter is drawn from a
-/// [`SplitMix64`] seeded by `(jitter_seed, key, attempt)` — deterministic
-/// per write attempt regardless of thread interleaving, so chaos runs
-/// replay exactly.
-#[derive(Clone, Copy, Debug)]
-pub struct WriteRetry {
-    /// Total write attempts per save (first try included). At least 1.
-    pub attempts: u32,
-    /// Base backoff before the first retry; doubles per retry, plus
-    /// jitter in `[0, backoff)`.
-    pub backoff: Duration,
-    /// Seed for the deterministic jitter stream.
-    pub jitter_seed: u64,
-}
-
-impl Default for WriteRetry {
-    fn default() -> WriteRetry {
-        WriteRetry {
-            attempts: 3,
-            backoff: Duration::from_micros(500),
-            jitter_seed: 0x636b_7074, // "ckpt"
-        }
-    }
-}
+/// Write attempts per checkpoint save (first try included).
+const WRITE_ATTEMPTS: u32 = 3;
+/// Base backoff before the first write retry; doubles per retry, plus
+/// jitter in `[0, WRITE_BACKOFF)` drawn from a [`SplitMix64`] seeded by
+/// `(JITTER_SEED, key, attempt)` — deterministic per write attempt
+/// regardless of thread interleaving, so chaos runs replay exactly.
+const WRITE_BACKOFF: Duration = Duration::from_micros(500);
+const JITTER_SEED: u64 = 0x636b_7074; // "ckpt"
 
 /// A directory of digest-verified checkpoint files.
 pub struct CheckpointDir {
     root: PathBuf,
-    retry: WriteRetry,
     /// Payloads whose writes exhausted their retries: the store degrades
     /// to memory rather than losing the artifact mid-campaign. Entries
     /// shadow whatever (possibly stale or torn) file is on disk.
@@ -91,6 +74,8 @@ pub struct CheckpointDir {
     quarantined: AtomicU64,
     degraded: AtomicBool,
     saves: AtomicU64,
+    /// The owning store's armed host faults.
+    pub(crate) faults: Option<Arc<HostFaults>>,
 }
 
 impl CheckpointDir {
@@ -100,7 +85,6 @@ impl CheckpointDir {
         fs::create_dir_all(&root)?;
         Ok(CheckpointDir {
             root,
-            retry: WriteRetry::default(),
             overlay: Mutex::new(HashMap::new()),
             serialize_errors: AtomicU64::new(0),
             write_retries: AtomicU64::new(0),
@@ -108,13 +92,8 @@ impl CheckpointDir {
             quarantined: AtomicU64::new(0),
             degraded: AtomicBool::new(false),
             saves: AtomicU64::new(0),
+            faults: None,
         })
-    }
-
-    /// Replaces the write-retry policy (tests tighten the backoff).
-    pub fn with_retry(mut self, retry: WriteRetry) -> CheckpointDir {
-        self.retry = retry;
-        self
     }
 
     /// The directory path.
@@ -158,8 +137,7 @@ impl CheckpointDir {
         // payloads from two workers) never rename each other's file away.
         let n = self.saves.fetch_add(1, Ordering::Relaxed);
         let tmp = self.root.join(format!(".{}.{n}.tmp", sanitize(key)));
-        let attempts = self.retry.attempts.max(1);
-        for attempt in 0..attempts {
+        for attempt in 0..WRITE_ATTEMPTS {
             match self.write_attempt(&tmp, &target, bytes.as_bytes()) {
                 Ok(()) => {
                     // A durable copy exists again; drop any degraded one.
@@ -168,7 +146,7 @@ impl CheckpointDir {
                 }
                 Err(e) => {
                     let _ = fs::remove_file(&tmp);
-                    if attempt + 1 == attempts {
+                    if attempt + 1 == WRITE_ATTEMPTS {
                         self.write_failures.fetch_add(1, Ordering::Relaxed);
                         self.degraded.store(true, Ordering::Relaxed);
                         self.overlay
@@ -176,14 +154,14 @@ impl CheckpointDir {
                             .expect("overlay lock")
                             .insert(key.to_string(), payload.to_string());
                         eprintln!(
-                            "[checkpoint] cannot save {} after {attempts} attempts \
+                            "[checkpoint] cannot save {} after {WRITE_ATTEMPTS} attempts \
                              (kept in memory; a resumed run recomputes it): {e}",
                             target.display()
                         );
                     } else {
                         self.write_retries.fetch_add(1, Ordering::Relaxed);
                         eprintln!(
-                            "[checkpoint] save {} failed (attempt {}/{attempts}), retrying: {e}",
+                            "[checkpoint] save {} failed (attempt {}/{WRITE_ATTEMPTS}), retrying: {e}",
                             target.display(),
                             attempt + 1
                         );
@@ -200,7 +178,7 @@ impl CheckpointDir {
     /// that is the damage pattern (in-place torn write, e.g. by a dying
     /// NFS client) the digest-verified loader must survive.
     fn write_attempt(&self, tmp: &Path, target: &Path, bytes: &[u8]) -> io::Result<()> {
-        if let Some(action) = chaos::decide(ChaosSite::CheckpointWrite) {
+        if let Some(action) = self.decide(ChaosSite::CheckpointWrite) {
             return Err(match action {
                 ChaosAction::Torn { sixteenths } => {
                     let cut = bytes.len() * sixteenths as usize / 16;
@@ -214,14 +192,17 @@ impl CheckpointDir {
         fs::write(tmp, bytes).and_then(|()| fs::rename(tmp, target))
     }
 
+    /// One hit of `site` against the armed host faults, if any.
+    fn decide(&self, site: ChaosSite) -> Option<ChaosAction> {
+        self.faults.as_ref().and_then(|f| f.decide(site))
+    }
+
     /// Exponential backoff (base × 2^attempt) plus deterministic jitter in
-    /// `[0, base)` drawn from `(jitter_seed, key, attempt)`.
+    /// `[0, base)` drawn from `(JITTER_SEED, key, attempt)`.
     fn backoff_delay(&self, key: &str, attempt: u32) -> Duration {
-        let base = self.retry.backoff.max(Duration::from_nanos(1));
-        let mut rng =
-            SplitMix64::new(self.retry.jitter_seed ^ fnv1a64(key.as_bytes()) ^ attempt as u64);
-        let jitter = Duration::from_nanos(rng.next_below(base.as_nanos().max(1) as u64));
-        base.saturating_mul(1 << attempt.min(16)) + jitter
+        let mut rng = SplitMix64::new(JITTER_SEED ^ fnv1a64(key.as_bytes()) ^ attempt as u64);
+        let jitter = Duration::from_nanos(rng.next_below(WRITE_BACKOFF.as_nanos() as u64));
+        WRITE_BACKOFF.saturating_mul(1 << attempt.min(16)) + jitter
     }
 
     /// Loads and verifies the checkpoint under `key`. Missing, truncated,
@@ -289,7 +270,7 @@ impl CheckpointDir {
         result: Result<String, serde_json::Error>,
     ) -> Option<String> {
         let result = match result {
-            Ok(_) if chaos::decide(ChaosSite::StoreSerialize).is_some() => {
+            Ok(_) if self.decide(ChaosSite::StoreSerialize).is_some() => {
                 Err("injected serialization failure".to_string())
             }
             Ok(s) => Ok(s),
@@ -423,7 +404,7 @@ mod tests {
             dir.backoff_delay("k2", 0),
             "jitter differs across keys (no thundering herd)"
         );
-        let base = WriteRetry::default().backoff;
+        let base = WRITE_BACKOFF;
         // base * 2^attempt <= delay < base * (2^attempt + 1)
         for attempt in 0..3u32 {
             let d = dir.backoff_delay("k", attempt);

@@ -26,16 +26,21 @@
 //! The store is a pure cache: a hit replays exactly the value a
 //! recomputation would produce, so output is byte-identical with or
 //! without it. Hit/miss counters are kept per kind.
+//!
+//! A store may carry an armed host-fault plan ([`Store::with_host_faults`]).
+//! It is the plan's only owner: the memory tier, the disk tier and every
+//! campaign run through the store count their hits against it, and no
+//! other store in the process sees it.
 
 use crate::checkpoint::CheckpointDir;
 use serde::{Deserialize, Serialize};
-use simcore::chaos::{self, ChaosSite};
+use simcore::chaos::{ChaosSite, HostFaultPlan, HostFaults};
 use simcore::fnv1a64;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// What a stored value is; part of every [`Key`] and of every file name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -186,6 +191,7 @@ pub struct Store {
     counters: [Counters; 4],
     quarantined: AtomicU64,
     serialize_errors: AtomicU64,
+    faults: Option<Arc<HostFaults>>,
 }
 
 impl Store {
@@ -197,10 +203,34 @@ impl Store {
     /// A store with a checkpoint directory at `path` (created if needed)
     /// behind the memory tier.
     pub fn open(path: impl Into<PathBuf>) -> std::io::Result<Store> {
-        Ok(Store {
-            disk: Some(CheckpointDir::new(path)?),
-            ..Store::default()
-        })
+        Store::memory().with_checkpoint(path)
+    }
+
+    /// Attaches a checkpoint directory at `path` (created if needed) behind
+    /// the memory tier, keeping what the store already holds and its armed
+    /// host faults.
+    pub fn with_checkpoint(mut self, path: impl Into<PathBuf>) -> std::io::Result<Store> {
+        let mut dir = CheckpointDir::new(path)?;
+        dir.faults = self.faults.clone();
+        self.disk = Some(dir);
+        Ok(self)
+    }
+
+    /// Arms `plan` on this store: its checkpoint writes and serializations,
+    /// its memory-tier loads and the cells of every campaign run through it
+    /// fire the plan's faults, counting hits from zero.
+    pub fn with_host_faults(mut self, plan: HostFaultPlan) -> Store {
+        let faults = Arc::new(HostFaults::new(plan));
+        if let Some(dir) = &mut self.disk {
+            dir.faults = Some(faults.clone());
+        }
+        self.faults = Some(faults);
+        self
+    }
+
+    /// The armed host faults, if any.
+    pub fn host_faults(&self) -> Option<&HostFaults> {
+        self.faults.as_deref()
     }
 
     /// The disk tier, when a directory is attached.
@@ -239,7 +269,11 @@ impl Store {
             let mut memory = self.memory.lock().expect("store lock");
             if let Some(entry) = memory.get(&key) {
                 let mut digest = fnv1a64(entry.payload.as_bytes());
-                if chaos::decide(ChaosSite::MemoLoad).is_some() {
+                if self
+                    .host_faults()
+                    .and_then(|f| f.decide(ChaosSite::MemoLoad))
+                    .is_some()
+                {
                     // Injected corruption: flip the digest so the entry
                     // fails verification exactly as a real bit-flip would.
                     digest ^= 1;

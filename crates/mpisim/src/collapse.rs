@@ -315,23 +315,3 @@ fn emit(sink: &mut dyn ObsSink, rank: Rank, start: Time, end: Time, op: MpiOp) {
     sink.event(&ev);
     simcore::obs::emit(|| ev);
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::machine::FixedMachine;
-
-    // Host-side chaos fires only at checkpoint, store, cell-boundary and
-    // trace sites, never inside a run, so an installed plan must not turn
-    // collapse off. This is the only test in its binary that installs one.
-    #[test]
-    fn collapse_ignores_an_installed_chaos_plan() {
-        let machine = FixedMachine::new(2);
-        let sig = Some(StreamSignature::from_shape("twins", 1));
-        let _guard = simcore::chaos::install(simcore::chaos::HostFaultPlan::none());
-        assert!(
-            plan(&machine, &[0, 1], &[sig, sig]).is_some(),
-            "an installed chaos plan must not force granular execution"
-        );
-    }
-}

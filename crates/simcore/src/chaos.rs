@@ -15,16 +15,13 @@
 //! [`HostFaultPlan::parse`], the `--chaos-repro` CLI value), and shrink to
 //! a minimal reproducing schedule with [`shrink`].
 //!
-//! Instrumented code consults the process-global plan through
-//! [`decide`] (or [`panic_point`] for worker panics). When no plan is
-//! installed the probe is a single relaxed atomic load — the instrumented
-//! hot paths cost nothing in production. Install is RAII
-//! ([`install`] returns a [`ChaosGuard`]); tests that install plans must
-//! serialize on their own mutex since the plan is process-wide.
+//! A plan is armed as a [`HostFaults`] value, which counts the hits of
+//! each site and records what fired. The result store carries it to every
+//! instrumented site, so a plan is scoped to the run that owns the store;
+//! without one, a probe is a single `Option` check.
 
 use crate::rng::SplitMix64;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 /// Panic-message prefix of chaos-injected worker panics. Supervisors treat
@@ -34,7 +31,7 @@ use std::sync::Mutex;
 /// plan is a finite set of hit indices.
 pub const HOST_FAULT_PANIC: &str = "chaos-host-fault";
 
-/// Whether a panic message came from [`panic_point`].
+/// Whether a panic message came from [`HostFaults::panic_point`].
 pub fn is_host_fault_panic(message: &str) -> bool {
     message.starts_with(HOST_FAULT_PANIC)
 }
@@ -64,16 +61,6 @@ impl ChaosSite {
         ChaosSite::MemoLoad,
         ChaosSite::TraceWrite,
     ];
-
-    fn index(self) -> usize {
-        match self {
-            ChaosSite::CheckpointWrite => 0,
-            ChaosSite::StoreSerialize => 1,
-            ChaosSite::WorkerPanic => 2,
-            ChaosSite::MemoLoad => 3,
-            ChaosSite::TraceWrite => 4,
-        }
-    }
 
     /// Stable token tag (`ckpt`, `ser`, `panic`, `memo`, `trace`).
     pub fn tag(self) -> &'static str {
@@ -137,7 +124,7 @@ impl ChaosAction {
 }
 
 /// One planned host fault: fire `action` on the `nth` hit (0-based) of
-/// `site` in this process.
+/// `site` in the run that arms the plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Injection {
     /// The instrumented site this fault fires at.
@@ -354,106 +341,58 @@ impl fmt::Display for HostFaultPlan {
     }
 }
 
-/// An injection that actually fired, in firing order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Fired {
-    /// The site it fired at.
-    pub site: ChaosSite,
-    /// The hit index it fired on.
-    pub nth: u64,
-    /// The action it performed.
-    pub action: ChaosAction,
+/// An armed [`HostFaultPlan`]: the plan, the hits each site has taken so
+/// far, and the injections that fired. Hit counting starts at zero when
+/// the plan is armed and is shared by every thread holding the value.
+pub struct HostFaults {
+    state: Mutex<ChaosState>,
 }
 
 struct ChaosState {
     plan: HostFaultPlan,
     hits: [u64; ChaosSite::ALL.len()],
-    fired: Vec<Fired>,
+    fired: Vec<Injection>,
 }
 
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static STATE: Mutex<Option<ChaosState>> = Mutex::new(None);
+impl HostFaults {
+    /// Arms `plan` with every hit counter at zero.
+    pub fn new(plan: HostFaultPlan) -> HostFaults {
+        HostFaults {
+            state: Mutex::new(ChaosState {
+                plan,
+                hits: [0; ChaosSite::ALL.len()],
+                fired: Vec::new(),
+            }),
+        }
+    }
 
-/// Installs `plan` process-wide and returns the RAII guard that removes it.
-/// Only one plan can be active at a time; installing over an active plan
-/// panics (serialize chaos tests on a mutex). Hit counters start at zero.
-pub fn install(plan: HostFaultPlan) -> ChaosGuard {
-    let mut state = STATE.lock().expect("chaos state lock");
-    assert!(
-        state.is_none(),
-        "a chaos plan is already installed; drop its guard first"
-    );
-    *state = Some(ChaosState {
-        plan,
-        hits: [0; ChaosSite::ALL.len()],
-        fired: Vec::new(),
-    });
-    ACTIVE.store(true, Ordering::Release);
-    ChaosGuard { _private: () }
-}
+    /// Records one hit of `site` and returns the action to inject, if the
+    /// plan has a fault on this hit.
+    pub fn decide(&self, site: ChaosSite) -> Option<ChaosAction> {
+        let mut state = self.state.lock().expect("chaos state lock");
+        let n = state.hits[site as usize];
+        state.hits[site as usize] = n + 1;
+        let hit = state
+            .plan
+            .injections
+            .iter()
+            .find(|i| i.site == site && i.nth == n)
+            .copied();
+        state.fired.extend(hit);
+        hit.map(|i| i.action)
+    }
 
-/// Uninstalls the plan when dropped and reports what fired.
-pub struct ChaosGuard {
-    _private: (),
-}
+    /// A worker-panic injection point: panics with the [`HOST_FAULT_PANIC`]
+    /// marker when the plan has a fault on this hit of `site`.
+    pub fn panic_point(&self, site: ChaosSite) {
+        if self.decide(site).is_some() {
+            panic!("{HOST_FAULT_PANIC}: injected worker panic");
+        }
+    }
 
-impl ChaosGuard {
     /// Injections that have fired so far, in firing order.
-    pub fn fired(&self) -> Vec<Fired> {
-        STATE
-            .lock()
-            .expect("chaos state lock")
-            .as_ref()
-            .map(|s| s.fired.clone())
-            .unwrap_or_default()
-    }
-}
-
-impl Drop for ChaosGuard {
-    fn drop(&mut self) {
-        ACTIVE.store(false, Ordering::Release);
-        *STATE.lock().expect("chaos state lock") = None;
-    }
-}
-
-/// Records one hit of `site` and returns the action to inject, if the
-/// installed plan has a fault on this hit. Without an installed plan this
-/// is a single atomic load.
-pub fn decide(site: ChaosSite) -> Option<ChaosAction> {
-    if !ACTIVE.load(Ordering::Relaxed) {
-        return None;
-    }
-    decide_slow(site)
-}
-
-#[cold]
-fn decide_slow(site: ChaosSite) -> Option<ChaosAction> {
-    let mut state = STATE.lock().expect("chaos state lock");
-    let state = state.as_mut()?;
-    let n = state.hits[site.index()];
-    state.hits[site.index()] = n + 1;
-    let hit = state
-        .plan
-        .injections
-        .iter()
-        .find(|i| i.site == site && i.nth == n)
-        .copied();
-    if let Some(i) = hit {
-        state.fired.push(Fired {
-            site,
-            nth: n,
-            action: i.action,
-        });
-        eprintln!("[chaos] fired {} (hit {}, {:?})", site.tag(), n, i.action);
-    }
-    hit.map(|i| i.action)
-}
-
-/// A worker-panic injection point: panics with the [`HOST_FAULT_PANIC`]
-/// marker when the plan has a fault on this hit of `site`.
-pub fn panic_point(site: ChaosSite) {
-    if decide(site).is_some() {
-        panic!("{HOST_FAULT_PANIC}: injected worker panic");
+    pub fn fired(&self) -> Vec<Injection> {
+        self.state.lock().expect("chaos state lock").fired.clone()
     }
 }
 
@@ -509,9 +448,6 @@ pub fn shrink(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Chaos state is process-global; serialize the tests that install it.
-    static LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn token_round_trips() {
@@ -589,41 +525,37 @@ mod tests {
 
     #[test]
     fn decide_fires_on_the_nth_hit_only() {
-        let _l = LOCK.lock().unwrap();
-        let guard = install(HostFaultPlan::single(
+        let faults = HostFaults::new(HostFaultPlan::single(
             ChaosSite::CheckpointWrite,
             2,
             ChaosAction::Enospc,
         ));
-        assert_eq!(decide(ChaosSite::CheckpointWrite), None); // hit 0
-        assert_eq!(decide(ChaosSite::StoreSerialize), None); // other site
-        assert_eq!(decide(ChaosSite::CheckpointWrite), None); // hit 1
+        assert_eq!(faults.decide(ChaosSite::CheckpointWrite), None); // hit 0
+        assert_eq!(faults.decide(ChaosSite::StoreSerialize), None); // other site
+        assert_eq!(faults.decide(ChaosSite::CheckpointWrite), None); // hit 1
         assert_eq!(
-            decide(ChaosSite::CheckpointWrite),
+            faults.decide(ChaosSite::CheckpointWrite),
             Some(ChaosAction::Enospc)
         ); // hit 2
-        assert_eq!(decide(ChaosSite::CheckpointWrite), None); // hit 3
-        let fired = guard.fired();
+        assert_eq!(faults.decide(ChaosSite::CheckpointWrite), None); // hit 3
+        let fired = faults.fired();
         assert_eq!(fired.len(), 1);
         assert_eq!(fired[0].nth, 2);
-        drop(guard);
-        assert!(STATE.lock().unwrap().is_none(), "guard drop uninstalls");
-        assert_eq!(decide(ChaosSite::CheckpointWrite), None, "uninstalled");
     }
 
     #[test]
     fn panic_point_panics_with_the_marker() {
-        let _l = LOCK.lock().unwrap();
-        let _guard = install(HostFaultPlan::single(
+        let faults = HostFaults::new(HostFaultPlan::single(
             ChaosSite::WorkerPanic,
             0,
             ChaosAction::Fail,
         ));
-        let err = std::panic::catch_unwind(|| panic_point(ChaosSite::WorkerPanic)).unwrap_err();
+        let err =
+            std::panic::catch_unwind(|| faults.panic_point(ChaosSite::WorkerPanic)).unwrap_err();
         let msg = err.downcast_ref::<String>().unwrap();
         assert!(is_host_fault_panic(msg), "{msg}");
         // Second hit: no injection, no panic.
-        panic_point(ChaosSite::WorkerPanic);
+        faults.panic_point(ChaosSite::WorkerPanic);
     }
 
     #[test]

@@ -1,7 +1,15 @@
 //! Property tests of the simulation kernel invariants.
 
 use proptest::prelude::*;
+use simcore::chaos::{ChaosProfile, HostFaultPlan};
 use simcore::{Bandwidth, EventQueue, FifoResource, SplitMix64, Time};
+
+/// Every named chaos profile.
+const PROFILES: [&str; 5] = ["store", "panic", "memo", "trace", "mixed"];
+
+/// Bytes a replay token is made of, so drawn strings are often nearly
+/// valid and reach deep into the parser.
+const TOKEN_BYTES: &[u8] = b"ckptserpanicmemotrace@:,0123456789failtornenospc -+x";
 
 proptest! {
     /// Events always pop in nondecreasing time order, regardless of the
@@ -85,5 +93,36 @@ proptest! {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         prop_assert_eq!(sorted, (0..n).collect::<Vec<_>>());
+    }
+
+    /// Replay-token parsing never panics on arbitrary input: raw bytes,
+    /// strings over the token alphabet, and valid tokens with bytes
+    /// overwritten. It returns a plan or an error message.
+    #[test]
+    fn host_fault_plan_parse_never_panics(
+        raw in proptest::collection::vec(any::<u8>(), 0..64),
+        picks in proptest::collection::vec(any::<usize>(), 0..48),
+        seed in any::<u64>(),
+        profile in 0usize..PROFILES.len(),
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>()), 1..6),
+    ) {
+        let _ = HostFaultPlan::parse(&String::from_utf8_lossy(&raw));
+        let alphabet: Vec<u8> = picks.iter().map(|&i| TOKEN_BYTES[i % TOKEN_BYTES.len()]).collect();
+        let _ = HostFaultPlan::parse(&String::from_utf8_lossy(&alphabet));
+        let profile = ChaosProfile::named(PROFILES[profile]).unwrap();
+        let mut token = HostFaultPlan::random(seed, &profile).token().into_bytes();
+        for (at, byte) in edits {
+            let at = at % token.len();
+            token[at] = byte;
+        }
+        let _ = HostFaultPlan::parse(&String::from_utf8_lossy(&token));
+    }
+
+    /// Every plan a named profile draws round-trips through its token.
+    #[test]
+    fn host_fault_plan_tokens_round_trip(seed in any::<u64>(), profile in 0usize..PROFILES.len()) {
+        let profile = ChaosProfile::named(PROFILES[profile]).unwrap();
+        let plan = HostFaultPlan::random(seed, &profile);
+        prop_assert_eq!(HostFaultPlan::parse(&plan.token()), Ok(plan));
     }
 }

@@ -7,31 +7,19 @@
 //! checkpoint directory renders **byte-identically** to an uninterrupted
 //! run. The sweep below proves it for 28 distinct seeded fault schedules;
 //! the shrinker test proves a failing schedule bisects to a 1-minimal
-//! replayable `--chaos-repro` token.
-//!
-//! Chaos plans are process-global, so every test that installs one
-//! serializes on [`CHAOS_LOCK`].
+//! replayable `--chaos-repro` token. Each test arms its plan on its own
+//! [`Store`], so the tests run in parallel and a clean store beside an
+//! armed one stays clean.
 
 use cluster::{config as ioconfig, presets};
 use ioeval_core::campaign::{run_campaign_supervised, AppFactory, SuperviseOptions};
 use ioeval_core::charact::CharacterizeOptions;
-use ioeval_core::checkpoint::CheckpointDir;
-use ioeval_core::store::Store;
+use ioeval_core::store::{Store, StoreHealth};
 use simcore::chaos::{self, ChaosAction, ChaosProfile, ChaosSite, HostFaultPlan, Injection};
 use simcore::{KIB, MIB};
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Mutex;
 use workloads::{BtClass, BtIo, BtSubtype};
-
-/// Chaos state is process-global; tests that install plans must not
-/// overlap. `into_inner` on poison: a failed assertion elsewhere must not
-/// cascade into every remaining chaos test.
-static CHAOS_LOCK: Mutex<()> = Mutex::new(());
-
-fn chaos_lock() -> std::sync::MutexGuard<'static, ()> {
-    CHAOS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ioeval-chaos-{}-{name}", std::process::id()));
@@ -66,7 +54,6 @@ fn run(store: &Store) -> String {
 
 #[test]
 fn resume_after_any_injected_fault_is_byte_identical() {
-    let _l = chaos_lock();
     let reference = run(&Store::memory());
 
     // 28 distinct seeded schedules across the profiles whose sites a plain
@@ -87,11 +74,9 @@ fn resume_after_any_injected_fault_is_byte_identical() {
             let dir = scratch(&format!("sweep-{profile_name}-{seed}"));
 
             // The wounded run: injected faults, must still complete.
-            let store = Store::open(&dir).unwrap();
-            let guard = chaos::install(plan.clone());
+            let store = Store::open(&dir).unwrap().with_host_faults(plan.clone());
             let wounded = run(&store);
-            fired_total += guard.fired().len();
-            drop(guard);
+            fired_total += store.host_faults().unwrap().fired().len();
 
             // Self-healing: results are unharmed — at most a store-health
             // footer is appended to the uninterrupted rendering.
@@ -126,7 +111,6 @@ fn resume_after_any_injected_fault_is_byte_identical() {
 
 #[test]
 fn memo_corruption_is_quarantined_and_recomputed() {
-    let _l = chaos_lock();
     let reference = run(&Store::memory());
 
     // Warm the store, then replay the campaign from it under injected
@@ -148,10 +132,9 @@ fn memo_corruption_is_quarantined_and_recomputed() {
             action: ChaosAction::Fail,
         },
     ]);
-    let guard = chaos::install(plan);
+    let store = store.with_host_faults(plan);
     let replayed = run(&store);
-    let fired = guard.fired().len();
-    drop(guard);
+    let fired = store.host_faults().unwrap().fired().len();
     assert_eq!(
         replayed, reference,
         "memo corruption must not leak into results"
@@ -166,17 +149,16 @@ fn memo_corruption_is_quarantined_and_recomputed() {
 
 #[test]
 fn store_faults_surface_in_the_campaign_health_footer() {
-    let _l = chaos_lock();
     let reference = run(&Store::memory());
     let dir = scratch("health-footer");
-    let store = Store::open(&dir).unwrap();
-    let guard = chaos::install(HostFaultPlan::single(
-        ChaosSite::StoreSerialize,
-        0,
-        ChaosAction::Fail,
-    ));
+    let store = Store::open(&dir)
+        .unwrap()
+        .with_host_faults(HostFaultPlan::single(
+            ChaosSite::StoreSerialize,
+            0,
+            ChaosAction::Fail,
+        ));
     let wounded = run(&store);
-    drop(guard);
     assert!(wounded.starts_with(&reference));
     assert!(
         wounded.contains("-- store health: 1 serialize error --"),
@@ -188,8 +170,6 @@ fn store_faults_surface_in_the_campaign_health_footer() {
 
 #[test]
 fn shrinker_bisects_a_failing_schedule_to_a_replayable_minimal_repro() {
-    let _l = chaos_lock();
-
     // The failure being hunted: a checkpoint key degrades to memory, which
     // takes all three write attempts of one save failing — exactly the
     // injections ckpt@0, ckpt@1, ckpt@2. Bury them in 14 irrelevant
@@ -227,10 +207,11 @@ fn shrinker_bisects_a_failing_schedule_to_a_replayable_minimal_repro() {
     let runs = std::cell::Cell::new(0u32);
     let mut fails = |candidate: &HostFaultPlan| {
         runs.set(runs.get() + 1);
-        let dir = CheckpointDir::new(scratch("shrink")).unwrap();
-        let guard = chaos::install(candidate.clone());
+        let store = Store::open(scratch("shrink"))
+            .unwrap()
+            .with_host_faults(candidate.clone());
+        let dir = store.dir().unwrap();
         dir.save("tables-shrink", "payload under test");
-        drop(guard);
         dir.health().write_failures > 0
     };
 
@@ -250,4 +231,31 @@ fn shrinker_bisects_a_failing_schedule_to_a_replayable_minimal_repro() {
     let parsed = HostFaultPlan::parse(&minimal.token()).unwrap();
     assert_eq!(parsed, minimal);
     assert!(fails(&parsed), "the minimal repro must still reproduce");
+}
+
+#[test]
+fn a_plan_fires_only_in_the_run_whose_store_carries_it() {
+    let reference = run(&Store::memory());
+    let (armed_dir, clean_dir) = (scratch("per-run-armed"), scratch("per-run-clean"));
+    let armed = Store::open(&armed_dir)
+        .unwrap()
+        .with_host_faults(HostFaultPlan::random(1, &ChaosProfile::mixed()));
+    let clean = Store::open(&clean_dir).unwrap();
+
+    // Both campaigns run at once, in one process.
+    let (wounded, healthy) = std::thread::scope(|s| {
+        let wounded = s.spawn(|| run(&armed));
+        let healthy = s.spawn(|| run(&clean));
+        (wounded.join().unwrap(), healthy.join().unwrap())
+    });
+
+    assert!(
+        !armed.host_faults().unwrap().fired().is_empty(),
+        "the armed run must have taken faults"
+    );
+    assert!(wounded.starts_with(&reference));
+    assert_eq!(healthy, reference, "the clean run saw another run's plan");
+    assert_eq!(clean.health(), StoreHealth::default());
+    let _ = fs::remove_dir_all(&armed_dir);
+    let _ = fs::remove_dir_all(&clean_dir);
 }
