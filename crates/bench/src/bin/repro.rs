@@ -19,7 +19,8 @@
 //! campaign — 10k+ cells sweep fine under `--jobs`, with byte-identical
 //! output for any worker count. A grammar file that does not parse (bad
 //! syntax, or more work than `grammar::MAX_RANK_OPS`) is rejected with
-//! its line-numbered error and exit code 2 before any experiment runs.
+//! its line-numbered error and exit code 2 before any experiment runs, as
+//! is a `--sample` above `scenario_grid::MAX_SAMPLE` (16,384 variants).
 //!
 //! Experiments are named after the paper's artifacts (`table3`, `fig12`,
 //! ...); `all` runs the full evaluation section in order. `--scale paper`
@@ -94,6 +95,7 @@
 //! into exit code 3 after all output is written.
 
 use bench::experiments::registry;
+use bench::scenario_grid::MAX_SAMPLE;
 use bench::{PfsFaultProfile, Repro, Scale};
 use ioeval_core::supervise::run_isolated;
 use simcore::chaos::{ChaosProfile, HostFaultPlan};
@@ -224,12 +226,17 @@ fn main() {
             }
             "--sample" => {
                 i += 1;
-                scenario_sample = Some(
-                    args.get(i)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .filter(|&n| n >= 1)
-                        .unwrap_or_else(|| die("expected --sample N (N >= 1)")),
-                );
+                let n = args
+                    .get(i)
+                    .and_then(|s| s.parse::<usize>().ok())
+                    .filter(|&n| n >= 1)
+                    .unwrap_or_else(|| die("expected --sample N (N >= 1)"));
+                if n > MAX_SAMPLE {
+                    die(&format!(
+                        "--sample {n} exceeds the ceiling of {MAX_SAMPLE} variants (MAX_SAMPLE)"
+                    ));
+                }
+                scenario_sample = Some(n);
             }
             "--seed" => {
                 i += 1;
@@ -462,7 +469,8 @@ fn usage() {
          --grammar/--sample/--seed parameterize the scenario experiment: a\n\
          grammar file describing a workload space, how many variants to draw,\n\
          and the sampler seed (grid identity keys the checkpoint); a grammar\n\
-         that does not parse exits 2 before any experiment runs."
+         that does not parse, or a --sample above 16384, exits 2 before any\n\
+         experiment runs."
     );
 }
 

@@ -22,6 +22,12 @@ use ioeval_core::report::TextTable;
 use workloads::grammar::{source_digest, Grammar, EXAMPLE};
 use workloads::Workload;
 
+/// Ceiling on the sample count `repro --sample` accepts: 2^14 variants ×
+/// 4 configurations = 65,536 cells. The sampler expands every variant up
+/// front, so an unbounded count would abort on allocation instead of
+/// failing as a bad argument.
+pub const MAX_SAMPLE: usize = 1 << 14;
+
 /// Default variant counts per scale: 16 variants × 4 configurations is
 /// the pinned 64-cell golden grid; paper scale quadruples the sample.
 fn default_sample(r: &Repro) -> usize {

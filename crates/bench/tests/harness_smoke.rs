@@ -1,18 +1,19 @@
 //! Smoke test: every registered experiment runs at quick scale and
 //! produces non-trivial output.
 //!
-//! Ignored by default because it executes the full harness (about a minute
-//! in release mode; considerably longer in debug). Run it with:
+//! Ignored by default because it executes the full harness (3.7 s in
+//! release on a 2-core host; considerably longer in debug). CI runs it
+//! with the other ignored tests:
 //!
 //! ```text
-//! cargo test -p bench --release --test harness_smoke -- --ignored
+//! cargo test --release -q -- --ignored
 //! ```
 
 use bench::experiments::registry;
 use bench::{Repro, Scale};
 
 #[test]
-#[ignore = "runs the whole quick-scale harness (~1 min in release)"]
+#[ignore = "runs the whole quick-scale harness (~4 s in release)"]
 fn every_experiment_runs_at_quick_scale() {
     let mut repro = Repro::new(Scale::Quick);
     for (id, _desc, f) in registry() {

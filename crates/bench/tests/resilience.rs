@@ -10,7 +10,11 @@
 //! surviving replica holders) and while the server recovers mid-run (the
 //! resync replays the writes it missed) — no workload byte may be lost
 //! either way.
+//!
+//! The `resilience` experiment renders both tables (only the RAID one
+//! under `--pfs-profile none`), identically for any worker count.
 
+use bench::{PfsFaultProfile, Repro, Scale};
 use cluster::{presets, DeviceLayout, IoConfigBuilder, Mount};
 use ioeval_core::eval::{evaluate, EvalOptions, EvalReport, FaultScenario};
 use ioeval_core::perf_table::PerfTableSet;
@@ -169,10 +173,12 @@ fn same_seed_campaigns_render_identically() {
 }
 
 #[test]
-#[ignore = "characterizes Aohyper at quick scale (slow in debug)"]
 fn resilience_experiment_renders_the_full_table() {
-    let mut repro = bench::Repro::new(bench::Scale::Quick);
-    let out = bench::experiments::resilience(&mut repro);
+    let render = |profile: PfsFaultProfile| {
+        let mut repro = Repro::new(Scale::Quick).with_pfs_profile(profile);
+        bench::experiments::resilience(&mut repro)
+    };
+    let out = render(PfsFaultProfile::Full);
     for needle in [
         "Resilience",
         "healthy",
@@ -185,13 +191,20 @@ fn resilience_experiment_renders_the_full_table() {
         assert!(out.contains(needle), "missing {needle} in:\n{out}");
     }
     assert!(!out.contains("NaN") && !out.contains("inf"));
+
+    // `--pfs-profile none` keeps the RAID table and drops the PFS one.
+    let raid_only = render(PfsFaultProfile::Off);
+    assert!(raid_only.contains("rebuilding"), "{raid_only}");
+    for needle in ["PFS resilience", "pfs-degraded"] {
+        assert!(!raid_only.contains(needle), "{needle} in:\n{raid_only}");
+    }
+    assert_ne!(raid_only, out);
 }
 
 #[test]
-#[ignore = "characterizes Aohyper at quick scale (slow in debug)"]
 fn resilience_experiment_is_byte_identical_across_jobs() {
     let run = |jobs: usize| {
-        let mut repro = bench::Repro::new(bench::Scale::Quick).with_jobs(jobs);
+        let mut repro = Repro::new(Scale::Quick).with_jobs(jobs);
         bench::experiments::resilience(&mut repro)
     };
     assert_eq!(

@@ -1,12 +1,12 @@
 //! The disk tier of the result [`Store`](crate::store::Store):
 //! versioned, digest-verified, atomic, self-healing checkpoint files.
 //!
-//! Every artifact (a characterization phase, an app profile, an eval
-//! report, a cell outcome, a finished experiment's output) is one file
-//! under the checkpoint directory, wrapped in an envelope carrying a
-//! format version and an FNV-1a digest of the payload. Writes go through a temp file and an atomic
-//! rename, so a `kill -9` mid-write leaves either the previous complete
-//! checkpoint or none — never a torn file. Loads verify version and
+//! Every artifact (a characterization phase, an eval report, a cell
+//! outcome, a finished experiment's output) is one file under the
+//! checkpoint directory, wrapped in an envelope carrying a format version
+//! and an FNV-1a digest of the payload. Writes go through a temp file and
+//! an atomic rename, so a `kill -9` mid-write leaves either the previous
+//! complete checkpoint or none — never a torn file. Loads verify version and
 //! digest and treat *any* mismatch (truncated file, flipped byte, future
 //! format) as a cache miss: the artifact is recomputed, never trusted.
 //!

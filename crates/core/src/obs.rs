@@ -3,11 +3,11 @@
 //! [`Collector`] is the methodology's standard sink: it accumulates
 //! per-level counters/histograms ([`ObsMetrics`]) and retains the raw
 //! event stream (capped) for export. Exports are a schema-versioned
-//! JSONL stream ([`to_jsonl`], validated by `scripts/validate_trace.py`)
-//! and a Chrome-trace view ([`to_chrome`]) loadable in
-//! `chrome://tracing` / Perfetto. [`phase_timeline`] joins the event
-//! stream with the traced [`AppProfile`] phases into the paper's Fig. 16
-//! per-phase utilization picture.
+//! JSONL stream ([`to_jsonl`], checked line by line by the `bench`
+//! crate's `repro_cli` tests) and a Chrome-trace view ([`to_chrome`])
+//! loadable in `chrome://tracing` / Perfetto. [`phase_timeline`] joins
+//! the event stream with the traced [`AppProfile`] phases into the
+//! paper's Fig. 16 per-phase utilization picture.
 //!
 //! Everything here is deterministic: times are integer nanoseconds of
 //! simulated time, and metrics merge in key order, so a campaign's

@@ -97,6 +97,29 @@ fn config_by_name(name: &str) -> IoConfig {
     }
 }
 
+/// `--procs N` (default 16) for `app`, checked before any tables file is
+/// read: at least 1, and a perfect square for the BT-IO and MADbench2
+/// process grids.
+fn procs_for(args: &[String], app: &str) -> usize {
+    let procs: usize = flag(args, "--procs")
+        .map(|p| {
+            p.parse()
+                .unwrap_or_else(|_| die("--procs must be a number"))
+        })
+        .unwrap_or(16);
+    if procs == 0 {
+        die("--procs must be at least 1");
+    }
+    // The same square test `BtIo::new` and `MadBench::new` assert.
+    let side = (procs as f64).sqrt() as usize;
+    if (app.starts_with("btio-") || app.starts_with("madbench-")) && side * side != procs {
+        die(&format!(
+            "--procs {procs}: {app} needs a square process count (1, 4, 9, 16, ...)"
+        ));
+    }
+    procs
+}
+
 fn app_by_name(name: &str, procs: usize, quick: bool) -> Scenario {
     match name {
         "btio-full" | "btio-simple" => {
@@ -190,18 +213,10 @@ fn evaluate_cmd(args: &[String]) {
         cluster_by_name(&flag(args, "--cluster").unwrap_or_else(|| die("--cluster required")));
     let config =
         config_by_name(&flag(args, "--config").unwrap_or_else(|| die("--config required")));
+    let app_name = flag(args, "--app").unwrap_or_else(|| die("--app required"));
+    let procs = procs_for(args, &app_name);
     let tables = load_tables(&flag(args, "--tables").unwrap_or_else(|| die("--tables required")));
-    let procs: usize = flag(args, "--procs")
-        .map(|p| {
-            p.parse()
-                .unwrap_or_else(|_| die("--procs must be a number"))
-        })
-        .unwrap_or(16);
-    let app = app_by_name(
-        &flag(args, "--app").unwrap_or_else(|| die("--app required")),
-        procs,
-        has(args, "--quick"),
-    );
+    let app = app_by_name(&app_name, procs, has(args, "--quick"));
     let name = app.name.clone();
     eprintln!(
         "[ioeval] evaluating {name} on {} / {} ...",
@@ -262,13 +277,8 @@ fn evaluate_cmd(args: &[String]) {
 fn advise(args: &[String]) {
     let spec =
         cluster_by_name(&flag(args, "--cluster").unwrap_or_else(|| die("--cluster required")));
-    let procs: usize = flag(args, "--procs")
-        .map(|p| {
-            p.parse()
-                .unwrap_or_else(|_| die("--procs must be a number"))
-        })
-        .unwrap_or(16);
     let app_name = flag(args, "--app").unwrap_or_else(|| die("--app required"));
+    let procs = procs_for(args, &app_name);
     // All positional values after --tables are table files.
     let ti = args
         .iter()

@@ -100,7 +100,7 @@ fn killed_and_resumed_grid_replays_byte_identically() {
 
 /// The acceptance-scale grid: 2500 sampled variants × 4 configurations =
 /// 10,000 cells, swept under one worker and four, byte-identical.
-/// Minutes of runtime, so opt-in.
+/// 3.4 s in release on a 2-core host, far longer in debug, so opt-in.
 #[test]
 #[ignore = "10k-cell acceptance grid; run explicitly with --ignored"]
 fn ten_thousand_cell_grid_is_worker_count_invariant() {
