@@ -313,8 +313,8 @@ impl Repro {
         }
     }
 
-    /// Supervision policy for campaign experiments: the context's watchdog
-    /// plus default retry/quarantine limits.
+    /// Supervision policy for campaign experiments: the context's watchdog,
+    /// worker count and metrics hub.
     pub fn supervise_options(&self) -> SuperviseOptions {
         SuperviseOptions {
             watchdog: self.watchdog.clone(),
@@ -435,7 +435,6 @@ impl Repro {
         let opts = EvalOptions {
             faults,
             watchdog: self.watchdog.clone(),
-            ..EvalOptions::default()
         };
         let collector = self.obs.as_ref().map(|_| Collector::new());
         let report = {

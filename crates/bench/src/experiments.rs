@@ -616,7 +616,7 @@ pub fn ablation_write_cache(r: &mut Repro) -> String {
 /// Ablation: RAID 5 sequential parity coalescing (stripe cache) on/off.
 pub fn ablation_coalesce(r: &mut Repro) -> String {
     use cluster::IoConfigBuilder;
-    use ioeval_core::charact::{characterize_system, CharacterizeOptions};
+    use ioeval_core::charact::{characterize_system_memo, CharacterizeOptions};
     use simcore::{KIB, MIB};
     let spec = r.aohyper();
     let mut out =
@@ -632,7 +632,8 @@ pub fn ablation_coalesce(r: &mut Repro) -> String {
         let mut opts = CharacterizeOptions::quick().all_modes();
         opts.records = vec![64 * KIB, MIB, 16 * MIB];
         opts.iozone_file_size = Some(512 * MIB);
-        let set = characterize_system(&spec, &config, &opts)
+        opts.watchdog = r.watchdog().cloned();
+        let set = characterize_system_memo(&spec, &config, &opts, r.store())
             .expect("coalescing ablation characterization");
         let records = opts.records.clone();
         let mut t = TextTable::new(vec!["record", "seq write MiB/s", "rand write MiB/s"]);

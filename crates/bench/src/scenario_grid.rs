@@ -170,38 +170,16 @@ pub fn scenario(r: &mut Repro) -> String {
         }
         let mut t = TextTable::new(vec!["variant", "config", "outcome", "detail"]);
         for o in campaign.outcomes.iter().filter(|o| !o.is_ok()) {
-            let detail = match o {
-                CellOutcome::Failed {
-                    error, attempts, ..
-                } => format!("{error} (attempt {attempts})"),
-                CellOutcome::TimedOut {
-                    abort, attempts, ..
-                } => format!("{abort} (attempt {attempts})"),
-                CellOutcome::Skipped { reason, .. } => reason.clone(),
-                CellOutcome::Ok(_) => unreachable!("filtered"),
-            };
             t.row(vec![
                 o.app().to_string(),
                 o.config().to_string(),
                 o.label().to_string(),
-                detail,
+                o.detail(),
             ]);
         }
         out.push_str(&t.render());
     }
-    // Store-health footer intentionally matches Campaign::render's
-    // discipline: operational state surfaces only when something broke.
-    let health = ioeval_core::store::StoreHealth {
-        quarantined: 0,
-        ..campaign.store_health
-    };
-    if health.any() {
-        out.push_str(&format!(
-            "{}{} --\n",
-            ioeval_core::campaign::STORE_HEALTH_MARKER,
-            health.summary()
-        ));
-    }
+    out.push_str(&campaign.store_health_footer());
     out
 }
 

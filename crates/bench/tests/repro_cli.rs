@@ -3,7 +3,8 @@
 //!
 //! * An experiment whose run cannot finish under the watchdog fails
 //!   cleanly — one line on stderr, exit code 4, no panic backtrace — and
-//!   the experiments before it still print and checkpoint.
+//!   the experiments before it still print and checkpoint. Every
+//!   experiment that simulates honours `--deadline`.
 //! * A checkpointed `io500` run under seeded host-fault plans completes,
 //!   and a chaos-free resume of what it left on disk prints output
 //!   byte-identical to a clean run.
@@ -73,6 +74,41 @@ fn a_failing_experiment_exits_4_after_printing_the_ones_before_it() {
     assert_eq!(resumed.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&resumed.stderr).contains("fig4 restored from checkpoint"));
     let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_simulating_experiment_honours_the_deadline() {
+    let list = repro(&["list"]);
+    assert_eq!(list.status.code(), Some(0));
+    let list = String::from_utf8_lossy(&list.stdout);
+    let ids: Vec<&str> = list
+        .lines()
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert!(ids.len() > 30, "{list}");
+    for id in ids {
+        let out = repro(&["--deadline", "1", id]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        match id {
+            // Simulates nothing.
+            "fig4" => assert_eq!(out.status.code(), Some(0), "{id}: {stderr}"),
+            // Campaigns degrade: every cell is skipped because its
+            // configuration's characterization aborted.
+            "campaign" | "io500" | "scenario" => {
+                assert_eq!(out.status.code(), Some(0), "{id}: {stderr}");
+                assert!(stdout.contains("0 ok,"), "{id}: {stdout}");
+            }
+            _ => {
+                assert_eq!(out.status.code(), Some(4), "{id} ignored the deadline");
+                let failed: Vec<&str> = stderr
+                    .lines()
+                    .filter(|l| l.starts_with(&format!("[repro] {id} failed:")))
+                    .collect();
+                assert_eq!(failed.len(), 1, "{id}: {stderr}");
+            }
+        }
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@ use crate::config::{ConfigError, DeviceLayout, IoConfig, NetworkLayout};
 use crate::spec::ClusterSpec;
 use fs::{
     FileId, LocalFs, LocalFsParams, MetaOps, MetaVerb, NfsClient, NfsClientParams, NfsError,
-    NfsRetryParams, NfsServer, NfsServerParams, PfsError, PfsParams, PfsSystem,
+    NfsServer, NfsServerParams, PfsError, PfsParams, PfsSystem,
 };
 use mpisim::Machine;
 use netsim::{Network, NodeId, TrafficClass};
@@ -140,7 +140,6 @@ pub struct ClusterMachine {
     clients: Vec<NfsClient>,
     pfs: Option<PfsSystem>,
     mounts: HashMap<FileId, Mount>,
-    default_mount: Mount,
     /// Injected fault schedule; applied lazily as simulated time advances.
     faults: FaultSchedule,
     fault_cursor: usize,
@@ -216,7 +215,6 @@ impl ClusterMachine {
             clients,
             pfs,
             mounts: HashMap::new(),
-            default_mount: Mount::Nfs,
             faults: FaultSchedule::none(),
             fault_cursor: 0,
             fault_log: Vec::new(),
@@ -306,14 +304,6 @@ impl ClusterMachine {
     /// Bytes replayed onto recovered PFS servers.
     pub fn pfs_resync_bytes(&self) -> u64 {
         self.pfs.as_ref().map_or(0, |p| p.resync_bytes())
-    }
-
-    /// Remounts every NFS client with a different retry discipline (e.g.
-    /// an impatient soft mount for fault drills).
-    pub fn set_client_retry(&mut self, retry: NfsRetryParams) {
-        for c in &mut self.clients {
-            c.set_retry(retry);
-        }
     }
 
     /// Rebuild progress of the I/O node's volume, if one ran.
@@ -500,21 +490,13 @@ impl ClusterMachine {
         &self.config
     }
 
-    /// Routes `file` to a mount.
+    /// Routes `file` to a mount; unregistered files use NFS.
     pub fn mount(&mut self, file: FileId, mount: Mount) {
         self.mounts.insert(file, mount);
     }
 
-    /// Sets the mount used for unregistered files (default: NFS).
-    pub fn set_default_mount(&mut self, mount: Mount) {
-        self.default_mount = mount;
-    }
-
     fn mount_of(&self, file: FileId) -> Mount {
-        self.mounts
-            .get(&file)
-            .copied()
-            .unwrap_or(self.default_mount)
+        self.mounts.get(&file).copied().unwrap_or(Mount::Nfs)
     }
 
     /// The NFS server (for meters / direct characterization).
@@ -556,23 +538,6 @@ impl ClusterMachine {
                 }
             }
         }
-    }
-
-    /// Flushes and drops every cache in the cluster (between runs); returns
-    /// the completion instant.
-    pub fn drop_all_caches(&mut self, now: Time) -> Time {
-        let mut t = now;
-        for i in 0..self.clients.len() {
-            let done = match self.clients[i].drop_caches(&mut self.net, &mut self.server, now) {
-                Ok(done) => done,
-                Err(e) => self.note_error(e),
-            };
-            t = t.max(done);
-        }
-        for fs in &mut self.local {
-            t = t.max(fs.drop_caches(now));
-        }
-        t.max(self.server.fs_mut().drop_caches(t))
     }
 }
 
@@ -945,16 +910,6 @@ mod tests {
         m.preallocate(g, MIB);
         assert_eq!(m.local_fs(0).file_size(g), MIB);
         assert_eq!(m.local_fs(3).file_size(g), MIB);
-    }
-
-    #[test]
-    fn drop_all_caches_completes() {
-        let mut m = machine();
-        m.mount(F, Mount::Nfs);
-        let t = m.io_open(Time::ZERO, 0, F, true);
-        let t = m.io_write(t, 0, F, 0, 8 * MIB);
-        let t2 = m.drop_all_caches(t);
-        assert!(t2 >= t);
     }
 
     #[test]

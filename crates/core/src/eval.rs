@@ -182,8 +182,6 @@ impl FaultScenario {
 /// Evaluation options.
 #[derive(Clone, Debug, Default)]
 pub struct EvalOptions {
-    /// Rank placement override (default: round-robin over compute nodes).
-    pub placement: Option<Vec<usize>>,
     /// Fault condition to run under (default: healthy).
     pub faults: FaultScenario,
     /// Watchdog budgets applied to the run (`None`: none).
@@ -539,10 +537,7 @@ pub fn evaluate(
     let mut machine = ClusterMachine::try_new(spec, config)?;
     machine.install_faults(opts.faults.schedule())?;
     let programs = scenario.install(&mut machine);
-    let placement = opts
-        .placement
-        .clone()
-        .unwrap_or_else(|| spec.placement(ranks));
+    let placement = spec.placement(ranks);
     let mut sink = ProfileSink::new(ranks);
     let stats = Runtime::default()
         .run_supervised(

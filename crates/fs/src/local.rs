@@ -381,17 +381,6 @@ impl LocalFs {
         let t = self.writeback(now, &ranges);
         self.vol.flush(t).max(t)
     }
-
-    /// Drops the whole page cache (the `drop_caches` knob used between
-    /// characterization runs). Dirty data is written out first.
-    pub fn drop_caches(&mut self, now: Time) -> Time {
-        let t = self.sync_all(now);
-        // Evict everything by demanding the full capacity.
-        let flush = self.cache.ensure_room(self.cache.capacity());
-        debug_assert!(flush.is_empty(), "sync_all left dirty data behind");
-        self.last_read_end.clear();
-        t
-    }
 }
 
 impl MetaOps for LocalFs {
@@ -601,21 +590,6 @@ mod tests {
         }
         assert_eq!(t - Time::ZERO, fs.params().meta_op * 5);
         assert_eq!(fs.meter().meta_ops, 5);
-    }
-
-    #[test]
-    fn drop_caches_defeats_reread_speedup() {
-        let mut fs = fs_with(2);
-        let now = fs.create(Time::ZERO, F);
-        let t = fs.write(now, F, 0, 64 * MIB);
-        let t = fs.drop_caches(t);
-        let start = t;
-        let t_end = fs.read(t, F, 0, 64 * MIB);
-        let rate = Bandwidth::measured(64 * MIB, t_end - start).as_mib_per_sec();
-        assert!(
-            rate < 100.0,
-            "read after drop_caches at {rate} MiB/s must hit disk"
-        );
     }
 
     #[test]

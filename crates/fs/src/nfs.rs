@@ -96,8 +96,6 @@ pub struct NfsRetryParams {
     pub backoff_mult: u32,
     /// Base seed of the mount's jitter stream; XORed with the node id at
     /// mount time so every mount draws a distinct deterministic sequence.
-    /// Takes effect when the client is constructed — [`NfsClient::set_retry`]
-    /// reseeds the stream only if this value changes.
     pub jitter_seed: u64,
 }
 
@@ -379,18 +377,6 @@ impl NfsClient {
     /// RPC retransmissions this mount has performed (0 while healthy).
     pub fn retries(&self) -> u64 {
         self.retries
-    }
-
-    /// Replaces the mount's timeout/retransmission discipline (remounting
-    /// with different `timeo`/`retrans` options). The jitter stream is
-    /// reseeded only when `jitter_seed` changes, so remounts that merely
-    /// tune `timeo`/`retrans` leave the established deterministic jitter
-    /// sequence untouched.
-    pub fn set_retry(&mut self, retry: NfsRetryParams) {
-        if retry.jitter_seed != self.params.retry.jitter_seed {
-            self.rng = SplitMix64::new(retry.jitter_seed ^ self.node as u64);
-        }
-        self.params.retry = retry;
     }
 
     /// Diagnostic view of the client page cache: (used, dirty, segments).
@@ -755,23 +741,6 @@ impl NfsClient {
         let t = self.drain_inflight(t);
         self.cache.insert(file, offset, end, false);
         self.meter.writes.record(len, t - now);
-        Ok(t)
-    }
-
-    /// Flushes every dirty page and drops the whole client cache (used
-    /// between characterization runs, like `drop_caches` on a real client).
-    pub fn drop_caches(
-        &mut self,
-        net: &mut Network,
-        srv: &mut NfsServer,
-        now: Time,
-    ) -> Result<Time, NfsError> {
-        let ranges = self.cache.dirty_ranges(u64::MAX);
-        let t = self.flush_ranges(net, srv, now, &ranges)?;
-        let t = self.drain_inflight(t);
-        let evicted = self.cache.ensure_room(self.cache.capacity());
-        debug_assert!(evicted.is_empty(), "flush left dirty pages behind");
-        self.last_read_end.clear();
         Ok(t)
     }
 
@@ -1245,17 +1214,6 @@ mod tests {
         let other = trace(reseeded);
         assert_ne!(other, issues, "distinct seeds must not share a trace");
         assert_eq!(trace(reseeded), other);
-
-        // set_retry with a changed seed reseeds the stream, matching a
-        // mount constructed with that seed from the start.
-        let mut c = NfsClient::new(0, NfsClientParams::linux_default(2 * GIB));
-        c.set_retry(reseeded);
-        let mut issues_via_set = Vec::new();
-        let _ = c.retry_rpc("READ", F, Time::ZERO, |t| {
-            issues_via_set.push(t);
-            Time::MAX
-        });
-        assert_eq!(issues_via_set, other);
     }
 
     #[test]

@@ -7,12 +7,7 @@
 //! machine layers poll [`FaultSchedule::due`] as simulated time advances
 //! and apply each event to the owning component, so the same schedule
 //! always produces the same trace.
-//!
-//! Schedules are either written out explicitly (one event per line of the
-//! scenario) or drawn from a seeded RNG via [`FaultSchedule::random`],
-//! which keeps stochastic campaigns reproducible: same seed, same faults.
 
-use crate::rng::SplitMix64;
 use crate::time::Time;
 use serde::{Deserialize, Serialize};
 
@@ -105,60 +100,6 @@ pub struct FaultEvent {
     pub fault: Fault,
 }
 
-/// Knobs for [`FaultSchedule::random`].
-#[derive(Clone, Debug)]
-pub struct FaultProfile {
-    /// Member disks eligible for failure/slow-down.
-    pub disks: usize,
-    /// Disk failures to draw (each followed by a replacement after
-    /// `repair_after`, if nonzero).
-    pub disk_failures: usize,
-    /// Delay between a drawn failure and its replacement
-    /// (`Time::ZERO` leaves the array degraded).
-    pub repair_after: Time,
-    /// Limping-disk episodes to draw.
-    pub slowdowns: usize,
-    /// Service-time multiplier for drawn slow-downs.
-    pub slow_factor: f64,
-    /// Length of each drawn slow-down episode.
-    pub slow_duration: Time,
-    /// NFS server stall windows to draw.
-    pub server_stalls: usize,
-    /// Length of each drawn stall window.
-    pub stall_duration: Time,
-    /// PFS I/O servers eligible for failure/slow-down (0 disables the
-    /// PFS draws entirely).
-    pub pfs_servers: usize,
-    /// PFS server crashes to draw (each followed by a recovery after
-    /// `pfs_recover_after`, if nonzero).
-    pub pfs_failures: usize,
-    /// Delay between a drawn PFS server crash and its recovery
-    /// (`Time::ZERO` leaves the server down for the rest of the run).
-    pub pfs_recover_after: Time,
-    /// Limping-PFS-server episodes to draw (reusing `slow_factor` and
-    /// `slow_duration`).
-    pub pfs_slowdowns: usize,
-}
-
-impl Default for FaultProfile {
-    fn default() -> FaultProfile {
-        FaultProfile {
-            disks: 1,
-            disk_failures: 0,
-            repair_after: Time::ZERO,
-            slowdowns: 0,
-            slow_factor: 3.0,
-            slow_duration: Time::from_secs(5),
-            server_stalls: 0,
-            stall_duration: Time::from_millis(500),
-            pfs_servers: 0,
-            pfs_failures: 0,
-            pfs_recover_after: Time::ZERO,
-            pfs_slowdowns: 0,
-        }
-    }
-}
-
 /// A deterministic, time-sorted fault schedule.
 ///
 /// The schedule is immutable after construction; consumers track their own
@@ -179,101 +120,6 @@ impl FaultSchedule {
     pub fn new(mut events: Vec<FaultEvent>) -> FaultSchedule {
         events.sort_by_key(|e| e.at);
         FaultSchedule { events }
-    }
-
-    /// Draws a schedule from `seed` over `[Time::ZERO, horizon)` according
-    /// to `profile`. Identical inputs yield identical schedules.
-    pub fn random(seed: u64, horizon: Time, profile: &FaultProfile) -> FaultSchedule {
-        let mut rng = SplitMix64::new(seed);
-        let mut events = Vec::new();
-        let span = horizon.as_nanos().max(1);
-        let draw_at = |rng: &mut SplitMix64| Time::from_nanos(rng.next_below(span));
-        for _ in 0..profile.disk_failures {
-            let at = draw_at(&mut rng);
-            let disk = rng.next_below(profile.disks.max(1) as u64) as usize;
-            events.push(FaultEvent {
-                at,
-                fault: Fault::DiskFail { disk },
-            });
-            if profile.repair_after > Time::ZERO {
-                events.push(FaultEvent {
-                    at: at + profile.repair_after,
-                    fault: Fault::DiskReplace { disk },
-                });
-            }
-        }
-        for _ in 0..profile.slowdowns {
-            let at = draw_at(&mut rng);
-            let disk = rng.next_below(profile.disks.max(1) as u64) as usize;
-            events.push(FaultEvent {
-                at,
-                fault: Fault::DiskSlow {
-                    disk,
-                    factor: profile.slow_factor,
-                },
-            });
-            events.push(FaultEvent {
-                at: at + profile.slow_duration,
-                fault: Fault::DiskRecover { disk },
-            });
-        }
-        for _ in 0..profile.server_stalls {
-            events.push(FaultEvent {
-                at: draw_at(&mut rng),
-                fault: Fault::ServerStall {
-                    duration: profile.stall_duration,
-                },
-            });
-        }
-        // PFS draws come last so profiles without them (every pre-existing
-        // profile) consume the identical RNG sequence as before.
-        for _ in 0..profile.pfs_failures {
-            let at = draw_at(&mut rng);
-            let server = rng.next_below(profile.pfs_servers.max(1) as u64) as usize;
-            events.push(FaultEvent {
-                at,
-                fault: Fault::PfsServerFail { server },
-            });
-            if profile.pfs_recover_after > Time::ZERO {
-                events.push(FaultEvent {
-                    at: at + profile.pfs_recover_after,
-                    fault: Fault::PfsServerRecover { server },
-                });
-            }
-        }
-        for _ in 0..profile.pfs_slowdowns {
-            let at = draw_at(&mut rng);
-            let server = rng.next_below(profile.pfs_servers.max(1) as u64) as usize;
-            events.push(FaultEvent {
-                at,
-                fault: Fault::PfsServerSlow {
-                    server,
-                    factor: profile.slow_factor,
-                },
-            });
-            events.push(FaultEvent {
-                at: at + profile.slow_duration,
-                fault: Fault::PfsServerSlow {
-                    server,
-                    factor: 1.0,
-                },
-            });
-        }
-        FaultSchedule::new(events)
-    }
-
-    /// Draws a schedule for one named campaign cell: the effective seed is
-    /// derived from `base_seed` and `label` (e.g. `"app::config"`), so the
-    /// schedule depends only on the cell's identity — not on how many other
-    /// cells were drawn first or on which worker thread runs it. Parallel
-    /// and sequential campaigns therefore inject identical faults per cell.
-    pub fn random_for(
-        base_seed: u64,
-        label: &str,
-        horizon: Time,
-        profile: &FaultProfile,
-    ) -> FaultSchedule {
-        FaultSchedule::random(crate::rng::seed_for(base_seed, label), horizon, profile)
     }
 
     /// All events, time-sorted.
@@ -346,94 +192,6 @@ mod tests {
         assert!(s.due(&mut cursor, Time::from_secs(2)).is_empty());
         assert_eq!(s.due(&mut cursor, Time::from_secs(10)).len(), 1);
         assert!(s.due(&mut cursor, Time::from_secs(100)).is_empty());
-    }
-
-    #[test]
-    fn random_schedule_is_deterministic_and_bounded() {
-        let profile = FaultProfile {
-            disks: 5,
-            disk_failures: 2,
-            repair_after: Time::from_secs(1),
-            slowdowns: 1,
-            server_stalls: 3,
-            ..FaultProfile::default()
-        };
-        let horizon = Time::from_secs(60);
-        let a = FaultSchedule::random(42, horizon, &profile);
-        let b = FaultSchedule::random(42, horizon, &profile);
-        assert_eq!(a, b);
-        // 2 failures + 2 replacements + 1 slow + 1 recover + 3 stalls.
-        assert_eq!(a.events().len(), 9);
-        for e in a.events() {
-            assert!(e.at < horizon + Time::from_secs(6));
-        }
-        let c = FaultSchedule::random(43, horizon, &profile);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn per_cell_schedules_are_order_independent() {
-        let profile = FaultProfile {
-            disks: 4,
-            disk_failures: 1,
-            server_stalls: 1,
-            ..FaultProfile::default()
-        };
-        let horizon = Time::from_secs(30);
-        // Identity determines the draw: drawing cells in any order (or from
-        // any thread) yields the same schedule per cell.
-        let a1 = FaultSchedule::random_for(7, "bt::JBOD", horizon, &profile);
-        let b = FaultSchedule::random_for(7, "bt::RAID 5", horizon, &profile);
-        let a2 = FaultSchedule::random_for(7, "bt::JBOD", horizon, &profile);
-        assert_eq!(a1, a2);
-        assert_ne!(a1, b, "distinct cells draw distinct schedules");
-    }
-
-    #[test]
-    fn pfs_draws_extend_but_do_not_perturb_existing_profiles() {
-        let base = FaultProfile {
-            disks: 5,
-            disk_failures: 1,
-            server_stalls: 1,
-            ..FaultProfile::default()
-        };
-        let horizon = Time::from_secs(60);
-        let a = FaultSchedule::random(7, horizon, &base);
-        // Adding PFS knobs draws *after* every existing loop: the shared
-        // prefix of the schedule is identical event for event.
-        let extended = FaultProfile {
-            pfs_servers: 4,
-            pfs_failures: 2,
-            pfs_recover_after: Time::from_secs(3),
-            pfs_slowdowns: 1,
-            ..base.clone()
-        };
-        let b = FaultSchedule::random(7, horizon, &extended);
-        let from_a: Vec<&FaultEvent> = a.events().iter().collect();
-        let shared: Vec<&FaultEvent> = b
-            .events()
-            .iter()
-            .filter(|e| {
-                !matches!(
-                    e.fault,
-                    Fault::PfsServerFail { .. }
-                        | Fault::PfsServerRecover { .. }
-                        | Fault::PfsServerSlow { .. }
-                )
-            })
-            .collect();
-        assert_eq!(from_a, shared);
-        // 2 fails + 2 recoveries + 1 slow + 1 un-slow.
-        assert_eq!(b.events().len(), a.events().len() + 6);
-        for e in b.events() {
-            if let Fault::PfsServerFail { server }
-            | Fault::PfsServerRecover { server }
-            | Fault::PfsServerSlow { server, .. } = e.fault
-            {
-                assert!(server < 4);
-            }
-        }
-        assert_eq!(b, FaultSchedule::random(7, horizon, &extended));
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod stats;
 pub mod time;
 
 pub use chaos::{ChaosAction, ChaosProfile, ChaosSite, HostFaultPlan};
-pub use faults::{Fault, FaultEvent, FaultProfile, FaultSchedule, NetClass};
+pub use faults::{Fault, FaultEvent, FaultSchedule, NetClass};
 pub use hash::{fnv1a64, FxBuildHasher, FxHashMap, FxHashSet, FxHasher64};
 pub use progress::{Abort, Watchdog, WatchdogSpec};
 pub use queue::{EventHandle, EventQueue};

@@ -9,12 +9,12 @@
 use serde::{Deserialize, Serialize};
 
 /// Derives a seed from a base seed and a textual label (FNV-1a over the
-/// label, folded into the base). Campaign cells seed their stochastic
-/// components with `seed_for(campaign_seed, "app::config")`, so every cell
-/// draws an independent stream that depends only on *which* cell it is —
-/// never on how many cells ran before it or on which worker thread it
-/// landed. That is what keeps parallel campaigns byte-identical to
-/// sequential ones.
+/// label, folded into the base). The workload grammar seeds each sampled
+/// variant with `seed_for(seed, "<name>::v<i>")`, so every variant draws an
+/// independent stream that depends only on *which* variant it is — never
+/// on how many variants were drawn before it or on which worker thread
+/// builds it. The benchmark harness derives its per-run cluster seed the
+/// same way.
 pub fn seed_for(base: u64, label: &str) -> u64 {
     // One SplitMix64 scramble so base and label both diffuse into every bit.
     SplitMix64::new(base ^ crate::hash::fnv1a64(label.as_bytes())).next_u64()
