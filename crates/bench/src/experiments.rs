@@ -777,10 +777,11 @@ pub fn advisor(r: &mut Repro) -> String {
 ///
 /// A second table runs an IOR write campaign on the replicated PVFS
 /// deployment (4 I/O servers, 2 replicas per stripe) under the context's
-/// [`PfsFaultProfile`]: nominal vs one-server-down (writes fail over to
-/// the surviving replica holders) vs recover-mid-run (the returning server
-/// resyncs the writes it missed). `--pfs-profile none` skips the second
-/// table entirely, rendering exactly the RAID-only output.
+/// [`PfsFaultProfile`](crate::context::PfsFaultProfile): nominal vs
+/// one-server-down (writes fail over to the surviving replica holders) vs
+/// recover-mid-run (the returning server resyncs the writes it missed).
+/// `--pfs-profile none` skips the second table entirely, rendering exactly
+/// the RAID-only output.
 pub fn resilience(r: &mut Repro) -> String {
     use crate::context::PfsFaultProfile;
     use cluster::{IoConfigBuilder, Mount};

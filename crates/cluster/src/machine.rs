@@ -8,8 +8,7 @@ use fs::{
 };
 use mpisim::Machine;
 use netsim::{Network, NodeId, TrafficClass};
-use simcore::{Fault, FaultEvent, FaultSchedule, NetClass, Time};
-use std::collections::HashMap;
+use simcore::{Fault, FaultEvent, FaultSchedule, FxHashMap, NetClass, Time};
 use storage::{
     CachedVolume, Disk, Jbod, Raid0, Raid1, Raid5, RebuildReport, Volume, VolumeError,
     WriteCacheParams,
@@ -139,7 +138,7 @@ pub struct ClusterMachine {
     local: Vec<LocalFs>,
     clients: Vec<NfsClient>,
     pfs: Option<PfsSystem>,
-    mounts: HashMap<FileId, Mount>,
+    mounts: FxHashMap<FileId, Mount>,
     /// Injected fault schedule; applied lazily as simulated time advances.
     faults: FaultSchedule,
     fault_cursor: usize,
@@ -214,7 +213,7 @@ impl ClusterMachine {
             local,
             clients,
             pfs,
-            mounts: HashMap::new(),
+            mounts: FxHashMap::default(),
             faults: FaultSchedule::none(),
             fault_cursor: 0,
             fault_log: Vec::new(),
@@ -262,7 +261,8 @@ impl ClusterMachine {
     }
 
     /// Installs a fault schedule, validating it against the configuration
-    /// first (see [`Self::validate_faults`]). Events are applied lazily:
+    /// first: disk faults must target a member the device layout has, and
+    /// PFS server faults a deployed server. Events are applied lazily:
     /// each simulated operation first applies every event due by its start
     /// instant, so a schedule installed before the run plays out
     /// deterministically as the workload advances the clock.

@@ -18,8 +18,8 @@
 use crate::perf_table::{AccessMode, OpType};
 use serde::{Deserialize, Serialize};
 use simcore::obs::{ObsEvent, ObsSink, TraceKind};
-use simcore::{Bandwidth, Time};
-use std::collections::{BTreeMap, HashMap};
+use simcore::{Bandwidth, FxHashMap, Time};
+use std::collections::BTreeMap;
 
 /// Classification of a phase burst.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
@@ -247,7 +247,7 @@ pub struct ProfileSink {
     rep_rank: usize,
     counts: AppProfile,
     files: std::collections::BTreeSet<u64>,
-    streams: HashMap<(usize, u64, OpType), StreamState>,
+    streams: FxHashMap<(usize, u64, OpType), StreamState>,
     measured: BTreeMap<(OpType, u64), MeasAgg>,
     per_marker: BTreeMap<(u32, OpType), MeasAgg>,
     marker_of_rank: Vec<u32>,
@@ -270,7 +270,7 @@ impl ProfileSink {
                 ..AppProfile::default()
             },
             files: Default::default(),
-            streams: HashMap::new(),
+            streams: FxHashMap::default(),
             measured: BTreeMap::new(),
             per_marker: BTreeMap::new(),
             marker_of_rank: vec![u32::MAX; world],
@@ -357,7 +357,7 @@ impl ProfileSink {
             .unwrap_or(Time::ZERO);
 
         // Access-mode votes per op type across all streams.
-        let mode_of = |op: OpType, streams: &HashMap<(usize, u64, OpType), StreamState>| {
+        let mode_of = |op: OpType, streams: &FxHashMap<(usize, u64, OpType), StreamState>| {
             let (mut seq, mut strided, mut random) = (0u64, 0u64, 0u64);
             for ((_, _, o), s) in streams {
                 if *o == op {

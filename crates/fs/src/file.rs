@@ -7,7 +7,9 @@ use std::fmt;
 ///
 /// Path resolution lives in the layers above (the MPI-IO runtime maps file
 /// names to ids); the filesystem models only need identity.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(
+    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
+)]
 pub struct FileId(pub u64);
 
 impl fmt::Display for FileId {

@@ -317,8 +317,7 @@ impl LocalFs {
     pub fn read(&mut self, now: Time, file: FileId, offset: u64, len: u64) -> Time {
         assert!(len > 0, "zero-length read");
         let end = offset + len;
-        let (hits, mut misses) = self.cache.lookup(file, offset, end);
-        let hit_bytes: u64 = hits.iter().map(|r| r.len()).sum();
+        let (hit_bytes, mut misses) = self.cache.lookup(file, offset, end);
 
         // Sequential streams extend the final miss by the readahead window.
         let sequential = self.last_read_end.get(&file) == Some(&offset);
@@ -332,14 +331,13 @@ impl LocalFs {
         self.last_read_end.insert(file, end);
 
         let mut device_done = now;
-        let miss_list = misses.clone();
-        let miss_bytes: u64 = miss_list.iter().map(|m| m.len()).sum();
+        let miss_bytes: u64 = misses.iter().map(|m| m.len()).sum();
         simcore::obs::emit(|| simcore::obs::ObsEvent::CacheAccess {
             hit_bytes,
             miss_bytes,
             at: now,
         });
-        for m in &miss_list {
+        for m in misses.iter() {
             let need = m.len();
             let flush = self.cache.ensure_room(need.min(self.cache.capacity()));
             if !flush.is_empty() {

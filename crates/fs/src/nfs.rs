@@ -616,7 +616,7 @@ impl NfsClient {
     ) -> Result<Time, NfsError> {
         assert!(len > 0, "zero-length read");
         let end = offset + len;
-        let (_hits, mut misses) = self.cache.lookup(file, offset, end);
+        let (_, mut misses) = self.cache.lookup(file, offset, end);
 
         let sequential = self.last_read_end.get(&file) == Some(&offset);
         if sequential && self.params.readahead > 0 {
@@ -629,8 +629,7 @@ impl NfsClient {
         self.last_read_end.insert(file, end);
 
         let mut data_ready = now;
-        let miss_list = misses.clone();
-        for m in &miss_list {
+        for m in misses.iter() {
             let evicted = self.cache.ensure_room(m.len().min(self.cache.capacity()));
             let mut t = now;
             for r in &evicted {

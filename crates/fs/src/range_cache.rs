@@ -6,123 +6,250 @@
 //! Sequential streams coalesce into single segments; strided small writes
 //! stay separate — both exactly what the costing needs.
 //!
+//! Every call but the whole-file ones (`drop_file`, the dirty-range scans)
+//! costs O(1) amortized for streaming and strided access, because such
+//! callers touch the last few segments of a file:
+//! * each file's segments live in one offset-sorted vector. A call finds
+//!   its overlap window once, galloping back from the tail, then edits the
+//!   window in place: an `insert` replaces it with at most three segments
+//!   (left remnant, the new range merged with equal-state neighbours, right
+//!   remnant), and an append that merges with its predecessor only extends
+//!   that segment's end;
+//! * recency is an intrusive doubly-linked list over a slab of nodes, one
+//!   per segment: a touch moves the node to the most-recently-used tail,
+//!   eviction pops the head, and nothing is searched or compacted;
+//! * each file counts its dirty segments, so a dirty-range scan of a file
+//!   holding none returns at once, and one of a file whose dirty data is
+//!   recent walks back from the tail only as far as that data.
+//!
+//! Recency follows one rule: a segment that is created (a new range, a
+//! merge, the right remnant of a split, a cleaned range) or looked up
+//! becomes the most recently used, in the order of those events; a left
+//! remnant keeps its place. Eviction order and [`RangeCache::dirty_ranges`]
+//! order follow from it.
+//!
 //! Invariants (property-tested):
 //! * segments of a file never overlap;
 //! * adjacent segments with equal dirty state are merged;
 //! * `used()` equals the summed length of all segments and never exceeds
 //!   capacity after [`RangeCache::ensure_room`];
-//! * every segment is indexed by a unique LRU stamp.
+//! * every segment owns exactly one node of the recency list.
 
 use crate::file::FileId;
 use simcore::FxHashMap;
 use storage::InlineVec;
 
+/// The null link of the recency list.
+const NIL: u32 = u32::MAX;
+
 /// A cached byte range of some file.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct Seg {
-    end: u64,
-    dirty: bool,
-    stamp: u64,
-}
-
-/// Per-file segment list, sorted by start offset. Sequential streams
-/// coalesce, so these lists are short and a sorted vector with binary
-/// search beats a tree both in lookups and in cache locality.
-type SegList = Vec<(u64, Seg)>;
-
-/// Index of the first segment starting at or after `start`.
-fn seg_idx(segs: &SegList, start: u64) -> usize {
-    segs.partition_point(|&(s, _)| s < start)
-}
-
-/// One recency-ordered cache entry. Entries are appended in stamp order
-/// and deleted lazily (tombstoned), so recency updates are O(1) amortized
-/// instead of a tree rebalance per touch.
 #[derive(Clone, Copy, Debug)]
-struct LruEntry {
-    stamp: u64,
+struct Seg {
+    start: u64,
+    end: u64,
+    /// This segment's node in the recency list.
+    node: u32,
+    dirty: bool,
+}
+
+/// One file's cached segments, sorted by start offset, and how many of
+/// them are dirty.
+#[derive(Clone, Debug, Default)]
+struct FileSegs {
+    segs: Vec<Seg>,
+    dirty_segs: usize,
+}
+
+impl FileSegs {
+    /// Index of the first segment starting at or after `start`. Streams
+    /// and strided writers land at or near the tail, so the search gallops
+    /// back from there: O(1) for them, O(log n) anywhere else.
+    fn seg_idx(&self, start: u64) -> usize {
+        let segs = &self.segs;
+        // Every segment from `hi` on starts at or after `start`.
+        let mut hi = segs.len();
+        let mut step = 1;
+        while hi > 0 {
+            let probe = hi.saturating_sub(step);
+            if segs[probe].start < start {
+                return probe + 1 + segs[probe + 1..hi].partition_point(|s| s.start < start);
+            }
+            hi = probe;
+            step *= 2;
+        }
+        0
+    }
+
+    /// The index range of the segments overlapping `[start, end)`.
+    fn window(&self, start: u64, end: u64) -> (usize, usize) {
+        let segs = &self.segs;
+        let p = self.seg_idx(start);
+        // The predecessor segment may extend into [start, end).
+        let i = if p > 0 && segs[p - 1].end > start {
+            p - 1
+        } else {
+            p
+        };
+        let mut j = p;
+        while j < segs.len() && segs[j].start < end {
+            j += 1;
+        }
+        (i, j)
+    }
+
+    /// Replaces `segs[lo..hi]` with `with`.
+    fn replace(&mut self, lo: usize, hi: usize, with: &[Seg]) {
+        let was_dirty = self.segs[lo..hi].iter().filter(|s| s.dirty).count();
+        self.dirty_segs = self.dirty_segs + with.iter().filter(|s| s.dirty).count() - was_dirty;
+        // The common edits, a merge into one segment and a new segment,
+        // skip the splice machinery.
+        match (hi - lo, with) {
+            (1, &[seg]) => self.segs[lo] = seg,
+            (0, &[seg]) => self.segs.insert(lo, seg),
+            _ => {
+                self.segs.splice(lo..hi, with.iter().copied());
+            }
+        }
+    }
+
+    /// The dirty segments, offset-sorted. They are found walking back from
+    /// the tail, and the walk stops at the last one.
+    fn dirty(&self) -> impl Iterator<Item = &Seg> + '_ {
+        let mut left = self.dirty_segs;
+        let first = if left == 0 {
+            self.segs.len()
+        } else {
+            self.segs
+                .iter()
+                .rposition(|s| {
+                    left -= usize::from(s.dirty);
+                    left == 0
+                })
+                .expect("dirty segment count out of step")
+        };
+        self.segs[first..].iter().filter(|s| s.dirty)
+    }
+}
+
+/// One segment's place in the recency list, and where to find it.
+#[derive(Clone, Copy, Debug)]
+struct Node {
     file: u64,
     start: u64,
-    alive: bool,
+    prev: u32,
+    next: u32,
 }
 
-/// Recency index over all segments: a stamp-sorted vector with lazy
-/// deletion. Stamps are allocated monotonically, so insertions append;
-/// the only out-of-order inserts are punch/mark-clean left remnants that
-/// keep their original (older) stamp, and those either resurrect their
-/// own tombstone or pay a rare mid-vector insert.
-#[derive(Clone, Debug, Default)]
-struct Lru {
-    /// Stamp-ascending entries, dead ones tombstoned in place.
-    entries: Vec<LruEntry>,
-    /// Entries before this index are all dead (advanced by `oldest`).
-    head: usize,
-    /// Total dead entries; compaction triggers when they dominate.
-    dead: usize,
+/// Recency order over all segments: a doubly-linked list threaded through
+/// a slab, least recently used at the head. Freed nodes form a free list
+/// (linked through `next`) that later pushes reuse.
+#[derive(Clone, Debug)]
+struct Recency {
+    nodes: Vec<Node>,
+    free: u32,
+    head: u32,
+    tail: u32,
 }
 
-impl Lru {
-    fn insert(&mut self, stamp: u64, file: u64, start: u64) {
-        let fresh = LruEntry {
-            stamp,
+impl Default for Recency {
+    fn default() -> Self {
+        Recency {
+            nodes: Vec::new(),
+            free: NIL,
+            head: NIL,
+            tail: NIL,
+        }
+    }
+}
+
+impl Recency {
+    /// A new most-recently-used node for the segment at `(file, start)`.
+    fn push(&mut self, file: u64, start: u64) -> u32 {
+        let node = Node {
             file,
             start,
-            alive: true,
+            prev: NIL,
+            next: NIL,
         };
-        match self.entries.last() {
-            Some(last) if last.stamp >= stamp => {
-                let idx = self.entries.partition_point(|e| e.stamp < stamp);
-                if let Some(e) = self.entries.get_mut(idx) {
-                    if e.stamp == stamp {
-                        debug_assert!(!e.alive, "duplicate live LRU stamp");
-                        *e = fresh;
-                        self.dead -= 1;
-                        self.head = self.head.min(idx);
-                        return;
-                    }
-                }
-                self.entries.insert(idx, fresh);
-                self.head = self.head.min(idx);
-            }
-            _ => self.entries.push(fresh),
+        let idx = if self.free == NIL {
+            let idx = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&idx| idx != NIL)
+                .expect("recency list overflow");
+            self.nodes.push(node);
+            idx
+        } else {
+            let idx = self.free;
+            self.free = self.nodes[idx as usize].next;
+            self.nodes[idx as usize] = node;
+            idx
+        };
+        self.link_tail(idx);
+        idx
+    }
+
+    fn unlink(&mut self, idx: u32) {
+        let Node { prev, next, .. } = self.nodes[idx as usize];
+        if prev == NIL {
+            self.head = next;
+        } else {
+            self.nodes[prev as usize].next = next;
+        }
+        if next == NIL {
+            self.tail = prev;
+        } else {
+            self.nodes[next as usize].prev = prev;
         }
     }
 
-    fn remove(&mut self, stamp: u64) {
-        let idx = self.entries.partition_point(|e| e.stamp < stamp);
-        let e = &mut self.entries[idx];
-        debug_assert!(e.stamp == stamp && e.alive, "remove of unknown LRU stamp");
-        e.alive = false;
-        self.dead += 1;
-        if self.dead >= 64 && self.dead * 2 > self.entries.len() {
-            self.entries.retain(|e| e.alive);
-            self.head = 0;
-            self.dead = 0;
+    fn link_tail(&mut self, idx: u32) {
+        let node = &mut self.nodes[idx as usize];
+        node.prev = self.tail;
+        node.next = NIL;
+        if self.tail == NIL {
+            self.head = idx;
+        } else {
+            self.nodes[self.tail as usize].next = idx;
+        }
+        self.tail = idx;
+    }
+
+    /// Makes `idx` the most recently used.
+    fn touch(&mut self, idx: u32) {
+        if idx != self.tail {
+            self.unlink(idx);
+            self.link_tail(idx);
         }
     }
 
-    /// The least-recently-used live entry, if any.
-    fn oldest(&mut self) -> Option<(u64, u64, u64)> {
-        while let Some(e) = self.entries.get(self.head) {
-            if e.alive {
-                return Some((e.stamp, e.file, e.start));
-            }
-            self.head += 1;
-        }
-        None
+    /// Frees `idx`.
+    fn remove(&mut self, idx: u32) {
+        self.unlink(idx);
+        self.nodes[idx as usize].next = self.free;
+        self.free = idx;
     }
 
-    /// Live `(file, start)` pairs in recency order, oldest first.
-    fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.entries[self.head.min(self.entries.len())..]
-            .iter()
-            .filter(|e| e.alive)
-            .map(|e| (e.file, e.start))
+    /// The least-recently-used segment as `(file, start)`, if any.
+    fn oldest(&self) -> Option<(u64, u64)> {
+        (self.head != NIL).then(|| {
+            let node = &self.nodes[self.head as usize];
+            (node.file, node.start)
+        })
+    }
+
+    /// The owning file of every segment, oldest first.
+    fn files(&self) -> impl Iterator<Item = u64> + '_ {
+        let mut idx = self.head;
+        std::iter::from_fn(move || {
+            let node = self.nodes.get(idx as usize)?;
+            idx = node.next;
+            Some(node.file)
+        })
     }
 }
 
-/// A (file, start, end) triple returned by flush/evict operations.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// A (file, start, end) triple returned by lookup/flush/evict operations.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RangeRef {
     /// Owning file.
     pub file: FileId,
@@ -144,27 +271,31 @@ impl RangeRef {
     }
 }
 
+/// The uncached parts of a looked-up range. A lookup inside a stream or a
+/// strided pattern misses in at most a couple of places, so these stay
+/// inline.
+pub type Misses = InlineVec<RangeRef, 4>;
+
 /// LRU cache of byte ranges; see the module docs.
 #[derive(Clone, Debug)]
 pub struct RangeCache {
     capacity: u64,
     used: u64,
     dirty: u64,
-    next_stamp: u64,
-    files: FxHashMap<u64, SegList>,
-    lru: Lru,
+    files: FxHashMap<u64, FileSegs>,
+    lru: Recency,
 }
 
 impl RangeCache {
-    /// A cache holding at most `capacity` bytes.
+    /// A cache holding at most `capacity` bytes. Allocates nothing until
+    /// the first insert.
     pub fn new(capacity: u64) -> RangeCache {
         RangeCache {
             capacity,
             used: 0,
             dirty: 0,
-            next_stamp: 0,
             files: FxHashMap::default(),
-            lru: Lru::default(),
+            lru: Recency::default(),
         }
     }
 
@@ -183,207 +314,122 @@ impl RangeCache {
         self.dirty
     }
 
-    fn stamp(&mut self) -> u64 {
-        let s = self.next_stamp;
-        self.next_stamp += 1;
-        s
-    }
-
-    /// Removes the segment starting at `start` from all indexes.
-    fn detach(&mut self, file: u64, start: u64) -> Seg {
-        let segs = self.files.get_mut(&file).expect("detach of unknown file");
-        let idx = seg_idx(segs, start);
-        debug_assert!(
-            idx < segs.len() && segs[idx].0 == start,
-            "detach of unknown segment"
-        );
-        let (_, seg) = segs.remove(idx);
-        self.lru.remove(seg.stamp);
-        self.used -= seg.end - start;
-        if seg.dirty {
-            self.dirty -= seg.end - start;
-        }
-        seg
-    }
-
-    /// Adds a segment to all indexes (no overlap/merge handling).
-    fn attach(&mut self, file: u64, start: u64, seg: Seg) {
-        debug_assert!(seg.end > start);
-        self.used += seg.end - start;
-        if seg.dirty {
-            self.dirty += seg.end - start;
-        }
-        self.lru.insert(seg.stamp, file, start);
-        let segs = self.files.entry(file).or_default();
-        let idx = seg_idx(segs, start);
-        debug_assert!(
-            idx == segs.len() || segs[idx].0 != start,
-            "attach over an existing segment"
-        );
-        segs.insert(idx, (start, seg));
-    }
-
-    /// Segments of `file` overlapping `[start, end)`. Sequential access
-    /// overlaps at most a couple of segments, so the snapshot stays inline.
-    fn overlapping(&self, file: u64, start: u64, end: u64) -> InlineVec<(u64, Seg), 4> {
-        let mut out = InlineVec::new();
-        let Some(segs) = self.files.get(&file) else {
-            return out;
-        };
-        let mut idx = seg_idx(segs, start);
-        // The predecessor segment may extend into [start, end).
-        if idx > 0 && segs[idx - 1].1.end > start {
-            out.push(segs[idx - 1]);
-        }
-        while idx < segs.len() && segs[idx].0 < end {
-            out.push(segs[idx]);
-            idx += 1;
-        }
-        out
-    }
-
-    /// Removes `[start, end)` from the cache, keeping remnants of partially
-    /// overlapped segments. Returns the number of previously-dirty bytes
-    /// that were punched out (callers deciding to *discard* dirty data —
-    /// only `insert(dirty=true)` over dirty data does — rely on this).
-    fn punch(&mut self, file: u64, start: u64, end: u64) -> u64 {
-        let mut lost_dirty = 0;
-        let overlaps = self.overlapping(file, start, end);
-        for &(s, seg) in overlaps.iter() {
-            self.detach(file, s);
-            let cut_from = s.max(start);
-            let cut_to = seg.end.min(end);
-            if seg.dirty {
-                lost_dirty += cut_to - cut_from;
-            }
-            if s < start {
-                // Left remnant keeps the original stamp.
-                self.attach(
-                    file,
-                    s,
-                    Seg {
-                        end: start,
-                        dirty: seg.dirty,
-                        stamp: seg.stamp,
-                    },
-                );
-            }
-            if seg.end > end {
-                // Right remnant needs a fresh stamp (one stamp per segment).
-                let stamp = self.stamp();
-                self.attach(
-                    file,
-                    end,
-                    Seg {
-                        end: seg.end,
-                        dirty: seg.dirty,
-                        stamp,
-                    },
-                );
-            }
-        }
-        lost_dirty
-    }
-
-    /// Merges the segment at `start` with adjacent same-state neighbours.
-    fn coalesce(&mut self, file: u64, mut start: u64) {
-        let segs = self.files.get(&file).expect("coalesce on unknown file");
-        let idx = seg_idx(segs, start);
-        debug_assert!(
-            idx < segs.len() && segs[idx].0 == start,
-            "coalesce on unknown segment"
-        );
-        let seg = segs[idx].1;
-        // Merge with predecessor.
-        if idx > 0 {
-            let (ps, pseg) = segs[idx - 1];
-            if pseg.end == start && pseg.dirty == seg.dirty {
-                self.detach(file, ps);
-                let seg = self.detach(file, start);
-                let stamp = self.stamp();
-                self.attach(
-                    file,
-                    ps,
-                    Seg {
-                        end: seg.end,
-                        dirty: seg.dirty,
-                        stamp,
-                    },
-                );
-                start = ps;
-            }
-        }
-        // Merge with successor.
-        let segs = self.files.get(&file).expect("segment vanished");
-        let idx = seg_idx(segs, start);
-        debug_assert!(
-            idx < segs.len() && segs[idx].0 == start,
-            "segment vanished during coalesce"
-        );
-        let seg = segs[idx].1;
-        if idx + 1 < segs.len() {
-            let (ns, nseg) = segs[idx + 1];
-            if seg.end == ns && nseg.dirty == seg.dirty {
-                let nseg = self.detach(file, ns);
-                self.detach(file, start);
-                let stamp = self.stamp();
-                self.attach(
-                    file,
-                    start,
-                    Seg {
-                        end: nseg.end,
-                        dirty: seg.dirty,
-                        stamp,
-                    },
-                );
-            }
-        }
-    }
-
     /// Inserts `[start, end)` of `file` with the given dirty state,
     /// replacing any overlapped content. Returns the number of dirty bytes
     /// that were overwritten (nonzero only when rewriting dirty data).
     pub fn insert(&mut self, file: FileId, start: u64, end: u64, dirty: bool) -> u64 {
         assert!(end > start, "empty insert");
-        let lost = self.punch(file.0, start, end);
-        let stamp = self.stamp();
-        self.attach(file.0, start, Seg { end, dirty, stamp });
-        self.coalesce(file.0, start);
+        let list = self.files.entry(file.0).or_default();
+        let (i, j) = list.window(start, end);
+        let segs = &list.segs;
+        // A left remnant keeps its node; a right remnant gets a fresh one.
+        let left = (i < j && segs[i].start < start).then(|| Seg {
+            end: start,
+            ..segs[i]
+        });
+        let right = (i < j && segs[j - 1].end > end).then(|| segs[j - 1]);
+        let mut lost = 0;
+        for (k, seg) in segs[i..j].iter().enumerate() {
+            let cut = seg.end.min(end) - seg.start.max(start);
+            self.used -= cut;
+            if seg.dirty {
+                self.dirty -= cut;
+                lost += cut;
+            }
+            if k > 0 || left.is_none() {
+                self.lru.remove(seg.node);
+            }
+        }
+        self.used += end - start;
+        if dirty {
+            self.dirty += end - start;
+        }
+
+        // Merge with equal-state neighbours: the left remnant or the
+        // untouched predecessor, the right remnant or the untouched
+        // successor. `out` is what replaces `segs[lo..hi]`.
+        let (mut lo, mut hi) = (i, j);
+        let mut new = Seg {
+            start,
+            end,
+            node: NIL,
+            dirty,
+        };
+        let mut out = [new; 3];
+        let mut n = 0;
+        match left {
+            Some(l) if l.dirty == dirty => {
+                new.start = l.start;
+                new.node = l.node;
+            }
+            Some(l) => {
+                out[0] = l;
+                n = 1;
+            }
+            None if i > 0 && segs[i - 1].end == start && segs[i - 1].dirty == dirty => {
+                lo = i - 1;
+                new.start = segs[lo].start;
+                new.node = segs[lo].node;
+            }
+            None => {}
+        }
+        let mut rest = None;
+        match right {
+            Some(r) if r.dirty == dirty => new.end = r.end,
+            Some(r) => {
+                rest = Some(Seg {
+                    start: end,
+                    end: r.end,
+                    node: self.lru.push(file.0, end),
+                    dirty: r.dirty,
+                });
+            }
+            None if j < segs.len() && segs[j].start == end && segs[j].dirty == dirty => {
+                new.end = segs[j].end;
+                self.lru.remove(segs[j].node);
+                hi = j + 1;
+            }
+            None => {}
+        }
+        if new.node == NIL {
+            new.node = self.lru.push(file.0, new.start);
+        } else {
+            self.lru.touch(new.node);
+        }
+        out[n] = new;
+        n += 1;
+        if let Some(r) = rest {
+            out[n] = r;
+            n += 1;
+        }
+        list.replace(lo, hi, &out[..n]);
         lost
     }
 
-    /// Splits `[start, end)` of `file` into cached and missing subranges.
-    /// Cached segments are touched (made most-recently-used). The returned
-    /// lists are offset-sorted and disjoint; together they cover the range.
-    pub fn lookup(&mut self, file: FileId, start: u64, end: u64) -> (Vec<RangeRef>, Vec<RangeRef>) {
+    /// Splits `[start, end)` of `file` into cached and missing bytes.
+    /// Cached segments are touched (made most-recently-used). Returns the
+    /// number of cached bytes and the missing subranges, offset-sorted.
+    pub fn lookup(&mut self, file: FileId, start: u64, end: u64) -> (u64, Misses) {
         assert!(end > start, "empty lookup");
-        let mut hits = Vec::new();
-        let mut misses = Vec::new();
+        let mut hit = 0;
+        let mut misses = Misses::new();
         let mut pos = start;
-        let overlaps = self.overlapping(file.0, start, end);
-        for &(s, seg) in overlaps.iter() {
-            let h_from = s.max(start);
-            let h_to = seg.end.min(end);
-            if h_from > pos {
-                misses.push(RangeRef {
-                    file,
-                    start: pos,
-                    end: h_from,
-                });
+        if let Some(list) = self.files.get(&file.0) {
+            let (i, j) = list.window(start, end);
+            for seg in &list.segs[i..j] {
+                let from = seg.start.max(start);
+                let to = seg.end.min(end);
+                if from > pos {
+                    misses.push(RangeRef {
+                        file,
+                        start: pos,
+                        end: from,
+                    });
+                }
+                hit += to - from;
+                pos = to;
+                self.lru.touch(seg.node);
             }
-            hits.push(RangeRef {
-                file,
-                start: h_from,
-                end: h_to,
-            });
-            pos = h_to;
-            // Refresh the LRU stamp in place (no segment-list churn).
-            let stamp = self.stamp();
-            let segs = self.files.get_mut(&file.0).expect("hit on unknown file");
-            let idx = seg_idx(segs, s);
-            self.lru.remove(segs[idx].1.stamp);
-            segs[idx].1.stamp = stamp;
-            self.lru.insert(stamp, file.0, s);
         }
         if pos < end {
             misses.push(RangeRef {
@@ -392,54 +438,79 @@ impl RangeCache {
                 end,
             });
         }
-        (hits, misses)
+        (hit, misses)
     }
 
     /// Marks `[start, end)` clean where cached (after a successful
-    /// writeback). Leaves LRU order unchanged.
+    /// writeback). A cleaned range becomes most-recently-used, then merges
+    /// with clean neighbours.
     pub fn mark_clean(&mut self, file: FileId, start: u64, end: u64) {
-        let overlaps = self.overlapping(file.0, start, end);
-        for &(s, seg) in overlaps.iter() {
+        let Some(list) = self.files.get_mut(&file.0) else {
+            return;
+        };
+        if end <= start || list.dirty_segs == 0 {
+            return;
+        }
+        let (mut k, _) = list.window(start, end);
+        while k < list.segs.len() && list.segs[k].start < end {
+            let segs = &list.segs;
+            let seg = segs[k];
             if !seg.dirty {
+                k += 1;
                 continue;
             }
-            let from = s.max(start);
+            let from = seg.start.max(start);
             let to = seg.end.min(end);
-            self.detach(file.0, s);
-            if s < from {
-                self.attach(
-                    file.0,
-                    s,
-                    Seg {
-                        end: from,
-                        dirty: true,
-                        stamp: seg.stamp,
-                    },
-                );
+            self.dirty -= to - from;
+            let (mut lo, mut hi) = (k, k + 1);
+            // The cleaned middle; a left remnant keeps the original node.
+            let mut mid = Seg {
+                start: from,
+                end: to,
+                node: seg.node,
+                dirty: false,
+            };
+            let mut out = [mid; 3];
+            let mut n = 0;
+            if seg.start < from {
+                out[0] = Seg { end: from, ..seg };
+                n = 1;
+                mid.node = self.lru.push(file.0, from);
+            } else {
+                self.lru.touch(seg.node);
             }
-            let stamp = self.stamp();
-            self.attach(
-                file.0,
-                from,
-                Seg {
-                    end: to,
-                    dirty: false,
-                    stamp,
-                },
-            );
-            if seg.end > to {
-                let stamp = self.stamp();
-                self.attach(
-                    file.0,
-                    to,
-                    Seg {
-                        end: seg.end,
-                        dirty: true,
-                        stamp,
-                    },
-                );
+            let right = (seg.end > to).then(|| Seg {
+                start: to,
+                end: seg.end,
+                node: self.lru.push(file.0, to),
+                dirty: true,
+            });
+            // Only a clean neighbour merges, so never a dirty remnant.
+            if seg.start == from && k > 0 && segs[k - 1].end == from && !segs[k - 1].dirty {
+                lo = k - 1;
+                self.lru.remove(mid.node);
+                mid.start = segs[lo].start;
+                mid.node = segs[lo].node;
+                self.lru.touch(mid.node);
             }
-            self.coalesce(file.0, from);
+            if right.is_none()
+                && k + 1 < segs.len()
+                && segs[k + 1].start == to
+                && !segs[k + 1].dirty
+            {
+                hi = k + 2;
+                mid.end = segs[k + 1].end;
+                self.lru.remove(segs[k + 1].node);
+                self.lru.touch(mid.node);
+            }
+            out[n] = mid;
+            n += 1;
+            if let Some(r) = right {
+                out[n] = r;
+                n += 1;
+            }
+            list.replace(lo, hi, &out[..n]);
+            k = lo + n;
         }
     }
 
@@ -451,7 +522,7 @@ impl RangeCache {
         let mut out = Vec::new();
         let mut budget = max_bytes;
         let mut files_seen = Vec::new();
-        for (file, _) in self.lru.iter() {
+        for file in self.lru.files() {
             if budget == 0 {
                 break;
             }
@@ -459,20 +530,17 @@ impl RangeCache {
                 continue;
             }
             files_seen.push(file);
-            let Some(segs) = self.files.get(&file) else {
-                continue;
-            };
-            for &(s, seg) in segs.iter() {
-                if !seg.dirty {
-                    continue;
-                }
-                let len = seg.end - s;
+            let list = self
+                .files
+                .get(&file)
+                .expect("a recency node's file has segments");
+            for seg in list.dirty() {
                 out.push(RangeRef {
                     file: FileId(file),
-                    start: s,
+                    start: seg.start,
                     end: seg.end,
                 });
-                budget = budget.saturating_sub(len);
+                budget = budget.saturating_sub(seg.end - seg.start);
                 if budget == 0 {
                     break;
                 }
@@ -485,12 +553,11 @@ impl RangeCache {
     pub fn dirty_ranges_of(&self, file: FileId) -> Vec<RangeRef> {
         self.files
             .get(&file.0)
-            .map(|segs| {
-                segs.iter()
-                    .filter(|(_, seg)| seg.dirty)
-                    .map(|&(s, seg)| RangeRef {
+            .map(|list| {
+                list.dirty()
+                    .map(|seg| RangeRef {
                         file,
-                        start: s,
+                        start: seg.start,
                         end: seg.end,
                     })
                     .collect()
@@ -505,18 +572,21 @@ impl RangeCache {
     pub fn ensure_room(&mut self, need: u64) -> Vec<RangeRef> {
         let mut must_flush = Vec::new();
         while self.used + need > self.capacity {
-            let Some((stamp, file, start)) = self.lru.oldest() else {
+            let Some((file, start)) = self.lru.oldest() else {
                 break; // nothing left to evict
             };
+            let list = self.files.get_mut(&file).expect("evicting an unknown file");
+            let k = list.seg_idx(start);
+            let seg = list.segs[k];
             debug_assert_eq!(
-                self.files
-                    .get(&file)
-                    .and_then(|segs| segs.get(seg_idx(segs, start)))
-                    .map(|&(s, seg)| (s, seg.stamp)),
-                Some((start, stamp))
+                seg.start, start,
+                "recency node out of step with its segment"
             );
-            let seg = self.detach(file, start);
+            list.replace(k, k + 1, &[]);
+            self.lru.remove(seg.node);
+            self.used -= seg.end - seg.start;
             if seg.dirty {
+                self.dirty -= seg.end - seg.start;
                 must_flush.push(RangeRef {
                     file: FileId(file),
                     start,
@@ -530,16 +600,16 @@ impl RangeCache {
     /// Drops every cached range of `file` (e.g. on delete). Dirty data is
     /// discarded; returns how many dirty bytes were lost.
     pub fn drop_file(&mut self, file: FileId) -> u64 {
-        let Some(segs) = self.files.remove(&file.0) else {
+        let Some(list) = self.files.remove(&file.0) else {
             return 0;
         };
         let mut lost = 0;
-        for (s, seg) in segs {
-            self.lru.remove(seg.stamp);
-            self.used -= seg.end - s;
+        for seg in list.segs {
+            self.lru.remove(seg.node);
+            self.used -= seg.end - seg.start;
             if seg.dirty {
-                self.dirty -= seg.end - s;
-                lost += seg.end - s;
+                self.dirty -= seg.end - seg.start;
+                lost += seg.end - seg.start;
             }
         }
         lost
@@ -547,7 +617,7 @@ impl RangeCache {
 
     /// Number of cached segments (for tests and diagnostics).
     pub fn segments(&self) -> usize {
-        self.files.values().map(|segs| segs.len()).sum()
+        self.files.values().map(|list| list.segs.len()).sum()
     }
 }
 
@@ -566,15 +636,8 @@ mod tests {
     fn insert_and_lookup_roundtrip() {
         let mut c = cache();
         c.insert(F, 100, 200, false);
-        let (hits, misses) = c.lookup(F, 50, 250);
-        assert_eq!(
-            hits,
-            vec![RangeRef {
-                file: F,
-                start: 100,
-                end: 200
-            }]
-        );
+        let (hit, misses) = c.lookup(F, 50, 250);
+        assert_eq!(hit, 100);
         assert_eq!(misses.len(), 2);
         assert_eq!((misses[0].start, misses[0].end), (50, 100));
         assert_eq!((misses[1].start, misses[1].end), (200, 250));
@@ -587,8 +650,8 @@ mod tests {
         c.insert(F, 0, 100, false);
         c.insert(F, 100, 200, false);
         assert_eq!(c.segments(), 1);
-        let (hits, misses) = c.lookup(F, 0, 200);
-        assert_eq!(hits.len(), 1);
+        let (hit, misses) = c.lookup(F, 0, 200);
+        assert_eq!(hit, 200);
         assert!(misses.is_empty());
     }
 
@@ -609,8 +672,8 @@ mod tests {
         assert_eq!(c.segments(), 3);
         assert_eq!(c.used(), 300);
         assert_eq!(c.dirty(), 100);
-        let (hits, misses) = c.lookup(F, 0, 300);
-        assert_eq!(hits.len(), 3);
+        let (hit, misses) = c.lookup(F, 0, 300);
+        assert_eq!(hit, 300);
         assert!(misses.is_empty());
     }
 
@@ -653,8 +716,8 @@ mod tests {
         let mut c = cache();
         c.insert(F, 0, 100, true);
         c.insert(G, 0, 100, false);
-        let (hits, _) = c.lookup(G, 0, 100);
-        assert_eq!(hits.len(), 1);
+        let (hit, _) = c.lookup(G, 0, 100);
+        assert_eq!(hit, 100);
         assert_eq!(c.dirty(), 100);
         assert_eq!(c.drop_file(F), 100);
         assert_eq!(c.dirty(), 0);
@@ -672,8 +735,8 @@ mod tests {
         let flush = c.ensure_room(100);
         assert!(flush.is_empty());
         assert_eq!(c.used(), 200);
-        let (hits, misses) = c.lookup(F, 1000, 1100);
-        assert!(hits.is_empty(), "oldest range must be evicted");
+        let (hit, misses) = c.lookup(F, 1000, 1100);
+        assert_eq!(hit, 0, "oldest range must be evicted");
         assert_eq!(misses.len(), 1);
     }
 
@@ -749,7 +812,7 @@ mod tests {
         c.lookup(F, 0, 100);
         c.ensure_room(100);
         c.insert(F, 5000, 5100, false);
-        let (hits, _) = c.lookup(F, 0, 100);
-        assert_eq!(hits.len(), 1, "recently touched range survived");
+        let (hit, _) = c.lookup(F, 0, 100);
+        assert_eq!(hit, 100, "recently touched range survived");
     }
 }

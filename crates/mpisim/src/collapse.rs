@@ -18,7 +18,7 @@
 //! Host-side chaos injection is not a gate: none of its sites is reachable
 //! inside a run, so an installed plan cannot break a cohort's symmetry.
 //!
-//! Whenever any gate fails, [`plan`] returns `None` and the caller falls
+//! Whenever any gate fails, `plan` returns `None` and the caller falls
 //! back to full granular execution. When a signature turns out to *lie*
 //! (a non-collapsible op, or members diverging from the representative),
 //! the executor panics rather than silently producing wrong results.

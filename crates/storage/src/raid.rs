@@ -425,7 +425,7 @@ impl Raid0 {
     /// member order. Closed form: the stripe chunks member `d` serves form
     /// an arithmetic progression, so its span is delimited by its first and
     /// last owned chunk — no per-chunk walk, and no allocation for arrays
-    /// of up to [`MAX_INLINE_MEMBERS`] members.
+    /// of up to `MAX_INLINE_MEMBERS` (8) members.
     pub fn spans(&self, req: &BlockReq) -> InlineVec<(usize, u64, u64), MAX_INLINE_MEMBERS> {
         let n = self.disks.len() as u64;
         let end = req.end();

@@ -201,7 +201,7 @@ pub trait Volume {
     fn set_fault_horizon(&mut self, _horizon: Option<Time>) {}
 
     /// Enables or disables this volume's bulk fast path (diagnostics and
-    /// equivalence tests; the process-wide switch is [`fast_path`]).
+    /// equivalence tests).
     fn set_bulk_enabled(&mut self, _on: bool) {}
 
     /// `(hits, misses)` of the bulk fast path: runs served in closed form
