@@ -11,7 +11,7 @@
 //! the granular per-frame loop that applies per-frame bandwidth by frame
 //! start time.
 
-use crate::fabric::{FabricParams, NetMeter, NodeId};
+use crate::fabric::{pipeline, FabricParams, NetMeter, NodeId};
 use simcore::{FifoResource, Time};
 
 /// Shape of the rack hierarchy.
@@ -145,37 +145,6 @@ impl HierFabric {
         }
     }
 
-    /// The closed-form frame pipeline of [`crate::Fabric::send`]: first
-    /// and last frame individually, the F−2 full middle frames as runs
-    /// (RX of frame 0 ends no earlier than TX of frame 1, so every middle
-    /// frame queues directly behind its predecessor). `svc(len)` prices
-    /// one frame; returns the last RX end.
-    fn pipeline(
-        tx: &mut FifoResource,
-        rx: &mut FifoResource,
-        t0: Time,
-        bytes: u64,
-        frame: u64,
-        svc: impl Fn(u64) -> Time,
-    ) -> Time {
-        if bytes <= frame {
-            let service = svc(bytes.max(1));
-            let txg = tx.submit(t0, service);
-            rx.submit(txg.end, service).end
-        } else {
-            let full = svc(frame);
-            let tail = bytes - (bytes - 1) / frame * frame; // in (0, frame]
-            let middle = (bytes - 1) / frame - 1;
-            let txg0 = tx.submit(t0, full);
-            let rxg0 = rx.submit(txg0.end, full);
-            let tx_mid = tx.submit_run(txg0.end, full, middle);
-            let rx_mid = rx.submit_run(txg0.end + full, full, middle);
-            debug_assert_eq!(rx_mid.end, rxg0.end + full * middle);
-            let txl = tx.submit(tx_mid.end, svc(tail));
-            rx.submit(txl.end, svc(tail)).end
-        }
-    }
-
     /// Granular reference path: one submit per frame, each frame priced by
     /// its own wire start time — exact across the fault horizon.
     fn send_granular(&mut self, t0: Time, from: NodeId, to: NodeId, bytes: u64) -> Time {
@@ -209,26 +178,18 @@ impl HierFabric {
         } else {
             let t0 = now + p.per_msg_overhead;
             let bw = p.link.bandwidth;
-            let last_rx_end = if self.horizon == Time::MAX || {
-                // Conservative bound on every frame's wire start: the last
-                // TX start cannot exceed queue drain plus one whole
-                // transfer (one extra frame pads integer rounding).
+            // Conservative bound on every frame's wire start: the last TX
+            // start cannot exceed queue drain plus one whole transfer (one
+            // extra frame pads integer rounding).
+            let clean = self.horizon == Time::MAX || {
                 let drained = t0.max(self.tx[from].free_at()).max(self.rx[to].free_at());
                 drained + bw.time_for(bytes.max(1)) + bw.time_for(p.max_frame) < self.horizon
-            } {
-                // Entirely below the fault horizon: clean closed form.
-                Self::pipeline(
-                    &mut self.tx[from],
-                    &mut self.rx[to],
-                    t0,
-                    bytes,
-                    p.max_frame,
-                    |l| bw.time_for(l),
-                )
-            } else if t0 >= self.horizon {
-                // Entirely above the horizon: degraded closed form.
-                let slow = self.slowdown;
-                Self::pipeline(
+            };
+            let last_rx_end = if clean || t0 >= self.horizon {
+                // Entirely below the fault horizon (clean) or entirely above
+                // it (degraded): the closed form at one service rate.
+                let slow = if clean { 1 } else { self.slowdown };
+                pipeline(
                     &mut self.tx[from],
                     &mut self.rx[to],
                     t0,
@@ -267,7 +228,7 @@ impl HierFabric {
         let mut tx = FifoResource::new();
         let mut rx = FifoResource::new();
         let bw = p.link.bandwidth;
-        let last = Self::pipeline(
+        let last = pipeline(
             &mut tx,
             &mut rx,
             p.per_msg_overhead,
@@ -385,10 +346,7 @@ mod tests {
             now += Time::from_micros(rng.next_below(5000));
         }
         assert_eq!(fast.meter().messages, slow.meter().messages);
-        assert_eq!(
-            fast.meter().transfers.bytes(),
-            slow.meter().transfers.bytes()
-        );
+        assert_eq!(fast.meter().transfers, slow.meter().transfers);
     }
 
     #[test]

@@ -101,15 +101,19 @@ impl OnlineStats {
     }
 }
 
-/// Accumulates (bytes, elapsed) samples and reports the aggregate rate and
-/// per-operation latency, matching the metrics the paper collects
-/// (throughput, IOPs, latency).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// Accumulates (bytes, elapsed) samples and reports the aggregate rate
+/// and IOPs, matching the throughput metrics the paper collects.
+///
+/// Meters sit on the per-message path (every fabric message, RPC, local
+/// read/write and volume request), so they keep three integer counters
+/// and nothing else: recording costs three adds. Latency distributions
+/// come from `ioeval_core::obs::Collector`, and only when a run is
+/// observed.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TransferMeter {
     bytes: u64,
     busy: Time,
     ops: u64,
-    latency: OnlineStats,
 }
 
 impl TransferMeter {
@@ -123,7 +127,6 @@ impl TransferMeter {
         self.bytes += bytes;
         self.busy += elapsed;
         self.ops += 1;
-        self.latency.push(elapsed.as_secs_f64());
     }
 
     /// Total bytes moved.
@@ -156,22 +159,11 @@ impl TransferMeter {
         }
     }
 
-    /// Mean per-operation latency.
-    pub fn mean_latency(&self) -> Time {
-        Time::from_secs_f64(self.latency.mean())
-    }
-
-    /// Latency statistics in seconds.
-    pub fn latency_stats(&self) -> &OnlineStats {
-        &self.latency
-    }
-
     /// Merges another meter into this one.
     pub fn merge(&mut self, other: &TransferMeter) {
         self.bytes += other.bytes;
         self.busy += other.busy;
         self.ops += other.ops;
-        self.latency.merge(&other.latency);
     }
 }
 
@@ -316,7 +308,6 @@ mod tests {
         assert_eq!(m.ops(), 2);
         assert_eq!(m.bytes(), 2 * MIB);
         assert!((m.iops() - 100.0).abs() < 1e-9);
-        assert_eq!(m.mean_latency(), Time::from_millis(10));
     }
 
     #[test]
@@ -324,7 +315,6 @@ mod tests {
         let m = TransferMeter::new();
         assert_eq!(m.rate().bytes_per_sec(), 0);
         assert_eq!(m.iops(), 0.0);
-        assert_eq!(m.mean_latency(), Time::ZERO);
     }
 
     #[test]
@@ -337,6 +327,11 @@ mod tests {
         assert_eq!(a.bytes(), 400);
         assert_eq!(a.ops(), 2);
         assert_eq!(a.rate().bytes_per_sec(), 200);
+        // A merged meter equals one meter fed both samples.
+        let mut whole = TransferMeter::new();
+        whole.record(100, Time::from_secs(1));
+        whole.record(300, Time::from_secs(1));
+        assert_eq!(a, whole);
     }
 
     #[test]

@@ -264,7 +264,11 @@ impl Bandwidth {
         if self.0 == 0 {
             return Time::MAX;
         }
-        // u128 intermediate: bytes can be ~2^40 and the multiplier is 10^9.
+        // u64 whenever bytes × 10⁹ fits, i.e. below ~17.2 GiB; beyond that
+        // a u128 intermediate, whose division is done in software.
+        if bytes <= u64::MAX / 1_000_000_000 {
+            return Time((bytes * 1_000_000_000).div_ceil(self.0));
+        }
         let ns = (bytes as u128 * 1_000_000_000u128).div_ceil(self.0 as u128);
         Time(ns.min(u64::MAX as u128) as u64)
     }
@@ -380,6 +384,23 @@ mod tests {
     #[test]
     fn bandwidth_zero_rate_never_completes() {
         assert_eq!(Bandwidth(0).time_for(1), Time::MAX);
+        assert_eq!(Bandwidth(0).time_for(u64::MAX), Time::MAX);
+        // Zero bytes take no time, whatever the rate.
+        assert_eq!(Bandwidth(0).time_for(0), Time::ZERO);
+        assert_eq!(Bandwidth(u64::MAX).time_for(0), Time::ZERO);
+    }
+
+    #[test]
+    fn bandwidth_time_for_agrees_across_the_u64_boundary() {
+        // At 1 GB/s a byte takes one nanosecond on either path.
+        let bw = Bandwidth::from_bytes_per_sec(1_000_000_000);
+        // The largest byte count whose product with 10⁹ fits in a u64.
+        let edge = 18_446_744_073;
+        assert_eq!(bw.time_for(edge), Time(edge));
+        assert_eq!(bw.time_for(edge + 1), Time(edge + 1));
+        // 1 B/s: the u128 product saturates at Time::MAX.
+        assert_eq!(Bandwidth(1).time_for(edge), Time(edge * 1_000_000_000));
+        assert_eq!(Bandwidth(1).time_for(edge + 1), Time::MAX);
     }
 
     #[test]

@@ -7,6 +7,44 @@ use simcore::{Bandwidth, EventQueue, FifoResource, SplitMix64, Time};
 /// Every named chaos profile.
 const PROFILES: [&str; 5] = ["store", "panic", "memo", "trace", "mixed"];
 
+/// Largest byte count whose product with 10⁹ fits in a u64: the edge of
+/// `time_for`'s u64 path.
+const U64_SAFE_BYTES: u64 = 18_446_744_073;
+
+/// `Bandwidth::time_for` computed wholly in u128, the reference for its
+/// u64 fast path.
+fn time_for_u128(bps: u64, bytes: u64) -> Time {
+    if bytes == 0 {
+        return Time::ZERO;
+    }
+    if bps == 0 {
+        return Time::MAX;
+    }
+    let ns = (bytes as u128 * 1_000_000_000).div_ceil(bps as u128);
+    Time(ns.min(u64::MAX as u128) as u64)
+}
+
+/// Byte counts anywhere in u64, packed around the u64-path boundary and
+/// near `u64::MAX`.
+fn transfer_bytes() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        any::<u64>(),
+        0u64..1 << 24,
+        U64_SAFE_BYTES - 1000..=U64_SAFE_BYTES + 1000,
+        u64::MAX - 1000..=u64::MAX,
+    ]
+}
+
+/// Rates anywhere in u64, from a byte per second to `u64::MAX`.
+fn transfer_rates() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        any::<u64>(),
+        1u64..1000,
+        1_000_000u64..10_000_000_000,
+        u64::MAX - 1000..=u64::MAX,
+    ]
+}
+
 /// Bytes a replay token is made of, so drawn strings are often nearly
 /// valid and reach deep into the parser.
 const TOKEN_BYTES: &[u8] = b"ckptserpanicmemotrace@:,0123456789failtornenospc -+x";
@@ -73,6 +111,13 @@ proptest! {
         let back = Bandwidth::measured(bytes, t);
         let rel = (back.bytes_per_sec() as f64 - bps as f64).abs() / bps as f64;
         prop_assert!(rel < 0.01, "bps {} back {} rel {}", bps, back.bytes_per_sec(), rel);
+    }
+
+    /// `time_for` equals the all-u128 computation for every byte count and
+    /// rate, on both sides of the u64 path's boundary.
+    #[test]
+    fn time_for_matches_the_u128_reference(bytes in transfer_bytes(), bps in transfer_rates()) {
+        prop_assert_eq!(Bandwidth::from_bytes_per_sec(bps).time_for(bytes), time_for_u128(bps, bytes));
     }
 
     /// The RNG's bounded generation respects its bound for any bound.

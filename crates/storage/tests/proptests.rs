@@ -256,8 +256,8 @@ proptest! {
             prop_assert_eq!(a, b);
             now = now.max(a.ack);
         }
-        // The meter debug state covers byte/op counters, Welford moments and
-        // the member IO count bit-for-bit.
+        // The meter debug state covers the byte, op and summed-latency
+        // counters and the member IO count, exactly.
         prop_assert_eq!(format!("{:?}", bulk.meter()), format!("{:?}", gran.meter()));
     }
 

@@ -271,6 +271,7 @@ impl BtIo {
                 let p = self.procs as u64;
                 let total = self.lines_per_dump();
                 let mut l = rank as u64;
+                out.reserve(total.saturating_sub(l).div_ceil(p) as usize);
                 while l < total {
                     let (off, len) = self.line_location(l);
                     let offset = dump_base + off;
