@@ -63,6 +63,8 @@ struct FileMeta {
     size: u64,
     /// `(file_offset, volume_offset, len)` extents, offset-sorted.
     extents: Vec<(u64, u64, u64)>,
+    /// End of the last read, which a sequential read starts at.
+    last_read_end: Option<u64>,
 }
 
 /// Per-direction filesystem-level transfer statistics.
@@ -83,7 +85,6 @@ pub struct LocalFs {
     vol: Box<dyn Volume>,
     files: FxHashMap<FileId, FileMeta>,
     next_vol_off: u64,
-    last_read_end: FxHashMap<FileId, u64>,
     meter: FsMeter,
 }
 
@@ -97,7 +98,6 @@ impl LocalFs {
             vol,
             files: FxHashMap::default(),
             next_vol_off: 0,
-            last_read_end: FxHashMap::default(),
             meter: FsMeter::default(),
         }
     }
@@ -143,11 +143,16 @@ impl LocalFs {
         self.cache.dirty()
     }
 
+    /// The page cache.
+    #[cfg(test)]
+    pub(crate) fn cache(&self) -> &RangeCache {
+        &self.cache
+    }
+
     /// Creates (or truncates) a file; returns completion time.
     pub fn create(&mut self, now: Time, file: FileId) -> Time {
         self.cache.drop_file(file);
         self.files.insert(file, FileMeta::default());
-        self.last_read_end.remove(&file);
         self.meter.meta_ops += 1;
         now + self.params.meta_op
     }
@@ -176,7 +181,6 @@ impl LocalFs {
     pub fn unlink(&mut self, now: Time, file: FileId) -> Time {
         self.cache.drop_file(file);
         self.files.remove(&file);
-        self.last_read_end.remove(&file);
         self.meter.meta_ops += 1;
         now + self.params.meta_op
     }
@@ -197,14 +201,12 @@ impl LocalFs {
     /// Declares that `file` exists with `size` bytes of valid content
     /// (allocated but uncached), e.g. pre-existing benchmark input.
     pub fn preallocate(&mut self, file: FileId, size: u64) {
-        self.files.entry(file).or_default();
-        self.ensure_extents(file, 0, size);
-        let meta = self.files.get_mut(&file).expect("just inserted");
+        let meta = self.ensure_extents(file, 0, size);
         meta.size = meta.size.max(size);
     }
 
     /// Grows the extent list to cover `[start, end)`.
-    fn ensure_extents(&mut self, file: FileId, _start: u64, end: u64) {
+    fn ensure_extents(&mut self, file: FileId, _start: u64, end: u64) -> &mut FileMeta {
         let align = self.params.alloc_extent;
         let meta = self.files.entry(file).or_default();
         let mut covered: u64 = meta.extents.iter().map(|&(_, _, l)| l).sum();
@@ -214,13 +216,13 @@ impl LocalFs {
             self.next_vol_off += len;
             covered += len;
         }
+        meta
     }
 
     /// Maps a file byte range to volume ranges. Extents are huge (256 MiB),
     /// so a mapping rarely crosses more than two of them.
     fn map(&mut self, file: FileId, start: u64, end: u64) -> InlineVec<(u64, u64), 4> {
-        self.ensure_extents(file, start, end);
-        let meta = &self.files[&file];
+        let meta = self.ensure_extents(file, start, end);
         let mut out = InlineVec::new();
         for &(foff, voff, len) in &meta.extents {
             let e_end = foff + len;
@@ -312,6 +314,33 @@ impl LocalFs {
         t
     }
 
+    /// How many back-to-back [`LocalFs::write`]s of `len` bytes fit in the
+    /// page cache as it stands with none of them evicting or throttling:
+    /// each one's room check and dirty check pass even if none overwrote
+    /// cached data.
+    pub(crate) fn plain_writes(&self, len: u64) -> u64 {
+        let room = self.cache.capacity().saturating_sub(self.cache.used());
+        let dirty_room = self.params.dirty_limit.saturating_sub(self.cache.dirty());
+        room.min(dirty_room) / len.max(1)
+    }
+
+    /// The state `n` calls `write(_, file, start + k·len, len)` (k = 0…n−1)
+    /// leave when [`LocalFs::plain_writes`] allows all `n`: each is a page
+    /// cache copy and nothing else, so their ranges go in as one insert.
+    /// Time is the caller's concern (each call takes one copy time).
+    pub(crate) fn write_plain_run(&mut self, file: FileId, start: u64, len: u64, n: u64) {
+        debug_assert!(
+            n <= self.plain_writes(len),
+            "the run would evict or throttle"
+        );
+        let end = start + len * n;
+        self.cache.insert(file, start, end, true);
+        let meta = self.files.entry(file).or_default();
+        meta.size = meta.size.max(end);
+        let copy = self.params.mem_bw.time_for(len);
+        self.meter.writes.record_n(len, copy, n);
+    }
+
     /// Reads `len` bytes at `offset`; returns the instant the data is in
     /// the caller's buffer.
     pub fn read(&mut self, now: Time, file: FileId, offset: u64, len: u64) -> Time {
@@ -320,7 +349,9 @@ impl LocalFs {
         let (hit_bytes, mut misses) = self.cache.lookup(file, offset, end);
 
         // Sequential streams extend the final miss by the readahead window.
-        let sequential = self.last_read_end.get(&file) == Some(&offset);
+        let last_read_end = &mut self.files.entry(file).or_default().last_read_end;
+        let sequential = *last_read_end == Some(offset);
+        *last_read_end = Some(end);
         if sequential && self.params.readahead > 0 {
             if let Some(last) = misses.last_mut() {
                 if last.end == end {
@@ -328,7 +359,6 @@ impl LocalFs {
                 }
             }
         }
-        self.last_read_end.insert(file, end);
 
         let mut device_done = now;
         let miss_bytes: u64 = misses.iter().map(|m| m.len()).sum();

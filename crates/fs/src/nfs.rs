@@ -17,7 +17,7 @@ use crate::file::FileId;
 use crate::local::{FsMeter, LocalFs};
 use crate::meta::{MetaOps, MetaVerb};
 use crate::range_cache::{RangeCache, RangeRef};
-use netsim::{Network, NodeId, TrafficClass};
+use netsim::{Network, NodeId, Sent, TrafficClass};
 use simcore::{Bandwidth, FifoResource, FxHashMap, MultiResource, SplitMix64, Time};
 use std::collections::VecDeque;
 use std::fmt;
@@ -333,6 +333,29 @@ impl NfsClientParams {
     }
 }
 
+/// The instants of one WRITE RPC's last attempt.
+struct WriteRpc {
+    /// When the client issued it (after the in-flight window let it).
+    issue: Time,
+    /// When the request reached the server.
+    arrive: Time,
+    /// When the server sent the reply.
+    ready: Time,
+    /// When the reply reached the client.
+    reply: Time,
+}
+
+/// How [`NfsClient::write_run_as`] drives a run of WRITE RPCs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Drive {
+    /// Jump ahead in closed form once the run is steady.
+    Train,
+    /// Every RPC one by one: the reference the closed form must equal,
+    /// which only tests drive.
+    #[cfg_attr(not(test), allow(dead_code))]
+    Granular,
+}
+
 /// One NFS mount on a compute node.
 pub struct NfsClient {
     /// The cluster node this mount lives on.
@@ -463,8 +486,8 @@ impl NfsClient {
         unreachable!("retry loop returns on success or exhaustion");
     }
 
-    /// Issues one WRITE RPC (asynchronously); returns the instant the
-    /// client may continue issuing.
+    /// Issues one WRITE RPC (asynchronously); returns its instants, `issue`
+    /// being the instant the client may continue issuing.
     fn rpc_write(
         &mut self,
         net: &mut Network,
@@ -473,16 +496,22 @@ impl NfsClient {
         file: FileId,
         offset: u64,
         len: u64,
-    ) -> Result<Time, NfsError> {
-        let t_issue = self.window_gate(now);
+    ) -> Result<WriteRpc, NfsError> {
+        let issue = self.window_gate(now);
         let node = self.node;
-        let reply = self.retry_rpc("WRITE", file, t_issue, |t| {
-            let arrive = net.send(t, node, srv.node, len + RPC_HEADER, TrafficClass::Storage);
-            let ready = srv.serve_write(arrive, file, offset, len);
+        let (mut arrive, mut ready) = (issue, issue);
+        let reply = self.retry_rpc("WRITE", file, issue, |t| {
+            arrive = net.send(t, node, srv.node, len + RPC_HEADER, TrafficClass::Storage);
+            ready = srv.serve_write(arrive, file, offset, len);
             net.send(ready, srv.node, node, RPC_REPLY, TrafficClass::Storage)
         })?;
         self.inflight.push_back(reply);
-        Ok(t_issue)
+        Ok(WriteRpc {
+            issue,
+            arrive,
+            ready,
+            reply,
+        })
     }
 
     /// Issues one READ RPC; returns the instant the data is at the client.
@@ -512,8 +541,9 @@ impl NfsClient {
         Ok(reply)
     }
 
-    /// Streams `ranges` to the server as WRITE RPCs; returns the instant
-    /// the last RPC was *issued* (write-behind, window-gated).
+    /// Streams `ranges` to the server as WRITE RPCs and marks them clean
+    /// (a no-op for ranges already evicted); returns the instant the last
+    /// RPC was *issued* (write-behind, window-gated).
     fn flush_ranges(
         &mut self,
         net: &mut Network,
@@ -523,15 +553,194 @@ impl NfsClient {
     ) -> Result<Time, NfsError> {
         let mut t = now;
         for r in ranges {
-            let mut pos = r.start;
-            while pos < r.end {
-                let take = self.params.wsize.min(r.end - pos);
-                t = self.rpc_write(net, srv, t, r.file, pos, take)?;
-                pos += take;
-            }
+            t = self.write_run(net, srv, t, r.file, r.start, r.end)?;
             self.cache.mark_clean(r.file, r.start, r.end);
         }
         Ok(t)
+    }
+
+    /// Sends `[start, end)` of `file` as back-to-back `wsize` WRITE RPCs;
+    /// returns the instant the last one was issued. Once the run reaches
+    /// steady state it jumps ahead in closed form (DESIGN §5e.6).
+    fn write_run(
+        &mut self,
+        net: &mut Network,
+        srv: &mut NfsServer,
+        now: Time,
+        file: FileId,
+        start: u64,
+        end: u64,
+    ) -> Result<Time, NfsError> {
+        self.write_run_as(net, srv, now, file, start, end, Drive::Train)
+            .map(|(t, _)| t)
+    }
+
+    /// [`NfsClient::write_run`], driven as `drive` says; also returns how
+    /// many RPCs ran one by one.
+    ///
+    /// After each full-size RPC that leaves a full chunk to send, the run
+    /// snapshots every timeline the next RPC reads — the four storage links
+    /// of the round trip, the server's daemon pool and the in-flight window
+    /// — relative to that RPC's issue instant. Every step of an RPC is max
+    /// and plus of those instants and fixed service times, so when two
+    /// consecutive snapshots are equal, each later RPC repeats the last one
+    /// `Δ` later, `Δ` being the spacing of their issue instants, and `n` of
+    /// them are the state shifted by `nΔ` plus `n` times the last RPC's
+    /// counts. The guards keep that true for the whole jump: full-size
+    /// chunks, a lossless storage class, no stall window ahead, no
+    /// retransmission, no saturated instant, and no server page-cache
+    /// eviction or dirty throttling.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn write_run_as(
+        &mut self,
+        net: &mut Network,
+        srv: &mut NfsServer,
+        now: Time,
+        file: FileId,
+        start: u64,
+        end: u64,
+        drive: Drive,
+    ) -> Result<(Time, u64), NfsError> {
+        let wsize = self.params.wsize;
+        let mut t = now;
+        let mut pos = start;
+        let mut granular = 0;
+        // The issue instant of the last snapshot, which `prev` holds.
+        let mut prev_issue: Option<Time> = None;
+        let (mut snap, mut prev) = (Vec::new(), Vec::new());
+        while pos < end {
+            let take = wsize.min(end - pos);
+            // A one-RPC run, or the last RPC of one, pays this test only.
+            // A full chunk left after this one makes this one full too.
+            let train = drive == Drive::Train && end - pos - take >= wsize;
+            // Checked before the RPC: whether it is a plain page-cache copy
+            // on the server and goes out once.
+            let plain = train && srv.fs.plain_writes(take) >= 1;
+            let retries = self.retries;
+            let rpc = self.rpc_write(net, srv, t, file, pos, take)?;
+            granular += 1;
+            t = rpc.issue;
+            pos += take;
+            if !train {
+                continue;
+            }
+            snap.clear();
+            let rel = |i: Time| i.as_nanos().wrapping_sub(t.as_nanos());
+            snap.extend(self.timelines(net, srv).map(rel));
+            if let Some(last) = prev_issue.filter(|_| snap == prev) {
+                let steady = plain
+                    && retries == self.retries
+                    && srv.stall_until <= rpc.arrive
+                    && !net.is_degraded(TrafficClass::Storage);
+                let period = t - last;
+                let n = if steady {
+                    self.train_len(net, srv, &rpc, period, (end - pos) / wsize)
+                } else {
+                    0
+                };
+                if n > 0 {
+                    self.jump(net, srv, &rpc, period, file, pos, n);
+                    t += period * n;
+                    pos += wsize * n;
+                }
+            }
+            // A jump moves every instant in the snapshot with `t`, so the
+            // snapshot still holds relative to the new `t`.
+            prev_issue = Some(t);
+            std::mem::swap(&mut snap, &mut prev);
+        }
+        Ok((t, granular))
+    }
+
+    /// Every instant the next WRITE RPC reads: the client's and server's
+    /// storage links unless they share a node, the daemon pool, then the
+    /// in-flight window.
+    fn timelines<'a>(
+        &'a self,
+        net: &'a Network,
+        srv: &'a NfsServer,
+    ) -> impl Iterator<Item = Time> + 'a {
+        let links = (self.node != srv.node).then(|| {
+            let fabric = net.fabric(TrafficClass::Storage);
+            let [ctx, crx] = fabric.links(self.node);
+            let [stx, srx] = fabric.links(srv.node);
+            [ctx, crx, stx, srx]
+        });
+        links
+            .into_iter()
+            .flatten()
+            .chain(srv.pool.free_instants())
+            .chain(self.inflight.iter().copied())
+    }
+
+    /// How many of the `full` chunks left may repeat `rpc` in closed form:
+    /// as many as the server's page cache takes without evicting or
+    /// throttling, and no more than keep every instant of the jump below
+    /// [`Time::MAX`] (a saturated sum does not shift).
+    fn train_len(
+        &self,
+        net: &Network,
+        srv: &NfsServer,
+        rpc: &WriteRpc,
+        period: Time,
+        full: u64,
+    ) -> u64 {
+        let deadline = rpc.issue.saturating_add(self.params.retry.timeo);
+        let hi = self
+            .timelines(net, srv)
+            .chain([deadline, rpc.reply])
+            .max()
+            .expect("nonempty");
+        let by_time = match period.as_nanos() {
+            _ if hi == Time::MAX => 0,
+            0 => u64::MAX,
+            p => (u64::MAX - 1 - hi.as_nanos()) / p,
+        };
+        full.min(srv.fs.plain_writes(self.params.wsize))
+            .min(by_time)
+    }
+
+    /// Applies `n` more repetitions of `rpc`, each `period` after the last
+    /// and writing the next `wsize` bytes of `file` from `offset` on: to
+    /// the storage links and meter (with the `NetSend` events when
+    /// observed), the daemon pool, the server's RPC count and page cache,
+    /// and the in-flight window.
+    #[allow(clippy::too_many_arguments)]
+    fn jump(
+        &mut self,
+        net: &mut Network,
+        srv: &mut NfsServer,
+        rpc: &WriteRpc,
+        period: Time,
+        file: FileId,
+        offset: u64,
+        n: u64,
+    ) {
+        let wsize = self.params.wsize;
+        let sends = [
+            Sent {
+                from: self.node,
+                to: srv.node,
+                bytes: wsize + RPC_HEADER,
+                start: rpc.issue,
+                end: rpc.arrive,
+            },
+            Sent {
+                from: srv.node,
+                to: self.node,
+                bytes: RPC_REPLY,
+                start: rpc.ready,
+                end: rpc.reply,
+            },
+        ];
+        net.repeat_sends(TrafficClass::Storage, &sends, period, n);
+        let shift = period * n;
+        srv.rpcs += n;
+        srv.pool.shift(shift);
+        srv.fs.write_plain_run(file, offset, wsize, n);
+        for reply in &mut self.inflight {
+            *reply += shift;
+        }
     }
 
     /// Waits for every outstanding RPC; returns the drain instant.
@@ -577,19 +786,10 @@ impl NfsClient {
         assert!(len > 0, "zero-length write");
         let mut t = now;
 
+        // Evicted dirty pages must be on the wire before we can reuse their
+        // memory.
         let evicted = self.cache.ensure_room(len.min(self.cache.capacity()));
-        if !evicted.is_empty() {
-            // Evicted dirty pages must be on the wire before we can reuse
-            // their memory; mark_clean is a no-op for detached ranges.
-            for r in &evicted {
-                let mut pos = r.start;
-                while pos < r.end {
-                    let take = self.params.wsize.min(r.end - pos);
-                    t = self.rpc_write(net, srv, t, r.file, pos, take)?;
-                    pos += take;
-                }
-            }
-        }
+        t = self.flush_ranges(net, srv, t, &evicted)?;
 
         t += self.params.mem_bw.time_for(len);
         self.cache.insert(file, offset, offset + len, true);
@@ -631,15 +831,7 @@ impl NfsClient {
         let mut data_ready = now;
         for m in misses.iter() {
             let evicted = self.cache.ensure_room(m.len().min(self.cache.capacity()));
-            let mut t = now;
-            for r in &evicted {
-                let mut pos = r.start;
-                while pos < r.end {
-                    let take = self.params.wsize.min(r.end - pos);
-                    t = self.rpc_write(net, srv, t, r.file, pos, take)?;
-                    pos += take;
-                }
-            }
+            let t = self.flush_ranges(net, srv, now, &evicted)?;
             let mut pos = m.start;
             while pos < m.end {
                 let take = self.params.rsize.min(m.end - pos);
@@ -718,25 +910,12 @@ impl NfsClient {
         len: u64,
     ) -> Result<Time, NfsError> {
         assert!(len > 0, "zero-length write");
-        let mut t = now;
         // Make room for the write-through fill; dirty evictions (possible
         // when a cached mount shares this client) must be on the wire.
         let evicted = self.cache.ensure_room(len.min(self.cache.capacity()));
-        for r in &evicted {
-            let mut pos = r.start;
-            while pos < r.end {
-                let take = self.params.wsize.min(r.end - pos);
-                t = self.rpc_write(net, srv, t, r.file, pos, take)?;
-                pos += take;
-            }
-        }
-        let mut pos = offset;
+        let t = self.flush_ranges(net, srv, now, &evicted)?;
         let end = offset + len;
-        while pos < end {
-            let take = self.params.wsize.min(end - pos);
-            t = self.rpc_write(net, srv, t, file, pos, take)?;
-            pos += take;
-        }
+        let t = self.write_run(net, srv, t, file, offset, end)?;
         let t = self.drain_inflight(t);
         self.cache.insert(file, offset, end, false);
         self.meter.writes.record(len, t - now);
@@ -852,7 +1031,11 @@ mod tests {
     use super::*;
     use crate::local::LocalFsParams;
     use netsim::FabricParams;
+    use simcore::obs::{ObsEvent, ObsSink};
+    use simcore::Bandwidth;
     use simcore::{GIB, MIB};
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use storage::{Disk, DiskParams, Jbod};
 
     const F: FileId = FileId(1);
@@ -1372,5 +1555,232 @@ mod tests {
             t
         };
         assert_eq!(run(), run());
+    }
+
+    /// A 162 MiB synchronous write, the size of one MADbench2 matrix
+    /// block, runs all but a few of its RPCs in closed form.
+    #[test]
+    fn a_madbench_sized_write_runs_almost_every_rpc_in_closed_form() {
+        let mut r = rig();
+        let len = 162 * MIB;
+        let t = r
+            .client
+            .open(&mut r.net, &mut r.srv, Time::ZERO, F, true)
+            .unwrap();
+        let (_, granular) = r
+            .client
+            .write_run_as(&mut r.net, &mut r.srv, t, F, 0, len, Drive::Train)
+            .unwrap();
+        let rpcs = len / r.client.params().wsize;
+        assert_eq!(r.srv.rpcs(), 1 + rpcs);
+        assert_eq!(r.srv.fs().file_size(F), len);
+        assert!(
+            granular * 100 < rpcs,
+            "{granular} of {rpcs} RPCs ran one by one"
+        );
+    }
+
+    /// Everything a WRITE run reads or writes, randomized: sizes, window,
+    /// pool, link rate, pre-busy timelines, server cache contents and
+    /// limits, stalls, loss and observation.
+    #[derive(Clone, Debug)]
+    struct TrainCase {
+        wsize: u64,
+        start: u64,
+        chunks: u64,
+        tail: u64,
+        max_inflight: usize,
+        daemons: usize,
+        overhead_us: u64,
+        link_mib: u64,
+        loopback: bool,
+        cache_chunks: u64,
+        dirty_chunks: u64,
+        slack: u64,
+        busy: Vec<(u8, u64, u64)>,
+        cached: Vec<(u64, u64, bool)>,
+        stall: Option<(u64, u64)>,
+        degrade: bool,
+        impatient: bool,
+        observe: bool,
+    }
+
+    /// Draws a case from `seed`, weighting the values where the train's
+    /// guards sit: exact cache boundaries, instants far in the future,
+    /// retransmitting mounts.
+    fn train_case(seed: u64) -> TrainCase {
+        let mut rng = SplitMix64::new(seed);
+        let mut below = |n: u64| rng.next_below(n);
+        let wsize = [4 * 1024, 32 * 1024, 100 * 1024][below(3) as usize];
+        let mut case = TrainCase {
+            wsize,
+            start: below(4) * wsize / 2,
+            chunks: below(300),
+            tail: if below(2) == 0 { 0 } else { below(wsize) },
+            max_inflight: 1 + below(24) as usize,
+            daemons: 1 + below(9) as usize,
+            overhead_us: if below(4) == 0 { 0 } else { below(200) },
+            link_mib: if below(2) == 0 { 110 } else { 10 + below(400) },
+            loopback: below(4) == 0,
+            cache_chunks: 1 + below(400),
+            dirty_chunks: 1 + below(400),
+            slack: [0, 1, 4095][below(3) as usize],
+            busy: Vec::new(),
+            cached: Vec::new(),
+            stall: None,
+            degrade: below(7) == 0,
+            impatient: below(4) == 0,
+            observe: below(2) == 0,
+        };
+        for _ in 0..below(6) {
+            let at = match below(8) {
+                0 => 1_000_000 + below(10),
+                1 | 2 => 10_000 + below(10),
+                _ => below(40),
+            };
+            case.busy.push((below(5) as u8, at, 1 + below(400_000)));
+        }
+        for _ in 0..below(5) {
+            case.cached
+                .push((below(300), 1 + below(8 * wsize), below(2) == 0));
+        }
+        if below(3) == 0 {
+            case.stall = Some((below(60), 1 + below(30)));
+        }
+        case
+    }
+
+    const G: FileId = FileId(2);
+
+    fn train_rig(c: &TrainCase) -> Rig {
+        let mut fabric = FabricParams::gigabit_ethernet();
+        fabric.link.bandwidth = Bandwidth::from_mib_per_sec(c.link_mib);
+        let mut net = Network::split(3, fabric);
+        let mut params = LocalFsParams::ext4(2 * GIB);
+        params.cache_capacity = c.cache_chunks * c.wsize + c.slack;
+        params.dirty_limit = c.dirty_chunks * c.wsize + c.slack;
+        params.dirty_background = params.dirty_limit / 2;
+        let disk = Disk::new(DiskParams::sata_7200(230, 72), 42);
+        let fs = LocalFs::new(params, Box::new(Jbod::new(disk)));
+        let server = NfsServerParams {
+            daemons: c.daemons,
+            rpc_overhead: Time::from_micros(c.overhead_us),
+        };
+        let mut srv = NfsServer::new(1, server, fs);
+        let mut params = NfsClientParams::linux_default(2 * GIB);
+        params.wsize = c.wsize;
+        params.max_inflight = c.max_inflight;
+        if c.impatient {
+            params.retry = NfsRetryParams::impatient(Time::from_millis(4), 2);
+        }
+        let node = if c.loopback { 1 } else { 0 };
+        let mut client = NfsClient::new(node, params);
+        for &(chunk, len, dirty) in &c.cached {
+            let offset = chunk * c.wsize / 2;
+            if dirty {
+                srv.fs.write(Time::ZERO, F, offset, len);
+            } else {
+                srv.fs.read(Time::ZERO, F, offset, len);
+            }
+        }
+        for &(what, at, amount) in &c.busy {
+            let at = Time::from_millis(at);
+            match what {
+                0 => {
+                    net.send(at, node, 1, amount, TrafficClass::Storage);
+                }
+                1 => {
+                    net.send(at, 1, node, amount, TrafficClass::Storage);
+                }
+                2 => {
+                    net.send(at, 2, 1, amount, TrafficClass::Storage);
+                }
+                3 => {
+                    srv.pool.submit(at, Time::from_micros(amount % 5000));
+                }
+                _ => {
+                    let len = 1 + amount % c.wsize;
+                    let _ = client.rpc_write(&mut net, &mut srv, at, G, amount, len);
+                }
+            }
+        }
+        if let Some((from, duration)) = c.stall {
+            srv.stall(Time::from_millis(from), Time::from_millis(duration));
+        }
+        if c.degrade {
+            net.set_degradation(TrafficClass::Storage, 0.05, 0.05, 7);
+        }
+        Rig { net, srv, client }
+    }
+
+    /// Keeps every event in a buffer the test reads back.
+    struct Events(Rc<RefCell<Vec<ObsEvent>>>);
+
+    impl ObsSink for Events {
+        fn event(&mut self, ev: &ObsEvent) {
+            self.0.borrow_mut().push(*ev);
+        }
+    }
+
+    /// Runs the case's WRITE run as `drive` says; returns the result, the
+    /// whole state it leaves and the events it emitted.
+    fn run_train(
+        c: &TrainCase,
+        drive: Drive,
+    ) -> (Result<(Time, u64), NfsError>, String, Vec<ObsEvent>) {
+        let mut r = train_rig(c);
+        let events = Rc::default();
+        let guard = c
+            .observe
+            .then(|| simcore::obs::install(Box::new(Events(Rc::clone(&events)))));
+        let end = c.start + c.chunks * c.wsize + c.tail + 1;
+        let out = r.client.write_run_as(
+            &mut r.net,
+            &mut r.srv,
+            Time::from_millis(1),
+            F,
+            c.start,
+            end,
+            drive,
+        );
+        drop(guard);
+        let cache = r.srv.fs.cache();
+        let state = format!(
+            "{:?}\n{:?} {} {:?}\n{:?} {} {}\n{} {:?}\n{:?} {} {:?} {:?}",
+            r.net.fabric(TrafficClass::Storage),
+            r.srv.pool.free_instants().collect::<Vec<_>>(),
+            r.srv.rpcs,
+            r.srv.fs.meter(),
+            cache.layout(),
+            cache.used(),
+            cache.dirty(),
+            r.srv.fs.file_size(F),
+            r.srv.fs.volume_meter(),
+            r.client.inflight,
+            r.client.retries,
+            r.client.rng,
+            r.client.meter,
+        );
+        (out, state, events.take())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The closed-form train and the RPC-by-RPC loop return the same
+        /// instant and error, leave the same links, meters, pool, window,
+        /// server page cache and volume, and emit the same events.
+        #[test]
+        fn write_trains_equal_the_granular_loop(seed in proptest::prelude::any::<u64>()) {
+            let c = train_case(seed);
+            let (train, train_state, train_events) = run_train(&c, Drive::Train);
+            let (reference, reference_state, reference_events) = run_train(&c, Drive::Granular);
+            proptest::prop_assert_eq!(train.map(|r| r.0), reference.map(|r| r.0));
+            if let (Ok((_, fast)), Ok((_, all))) = (train, reference) {
+                proptest::prop_assert!(fast <= all);
+            }
+            proptest::prop_assert_eq!(train_state, reference_state);
+            proptest::prop_assert!(train_events == reference_events, "event streams differ");
+        }
     }
 }

@@ -619,6 +619,22 @@ impl RangeCache {
     pub fn segments(&self) -> usize {
         self.files.values().map(|list| list.segs.len()).sum()
     }
+
+    /// Every segment as `(file, start, end, dirty)`, least recently used
+    /// first: the whole observable state, free of slab indices.
+    #[cfg(test)]
+    pub(crate) fn layout(&self) -> Vec<(u64, u64, u64, bool)> {
+        let mut out = Vec::new();
+        let mut idx = self.lru.head;
+        while idx != NIL {
+            let node = &self.lru.nodes[idx as usize];
+            let list = &self.files[&node.file];
+            let seg = list.segs[list.seg_idx(node.start)];
+            out.push((node.file, seg.start, seg.end, seg.dirty));
+            idx = node.next;
+        }
+        out
+    }
 }
 
 #[cfg(test)]

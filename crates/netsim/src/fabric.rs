@@ -61,6 +61,21 @@ pub struct NetMeter {
     pub messages: u64,
 }
 
+/// One message a fabric carried: the payload of its `NetSend` event.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Sent {
+    /// Sending endpoint.
+    pub from: NodeId,
+    /// Receiving endpoint.
+    pub to: NodeId,
+    /// Message size.
+    pub bytes: u64,
+    /// Instant the send was issued.
+    pub start: Time,
+    /// Delivery instant at the receiver.
+    pub end: Time,
+}
+
 /// A non-blocking switch with one full-duplex link per node.
 ///
 /// A message from `a` to `b` serializes on `a`'s TX link and `b`'s RX link
@@ -69,6 +84,7 @@ pub struct NetMeter {
 /// RX link plus propagation latency. Messages on a common link are served
 /// FIFO, so concurrent workloads interleave at message/RPC granularity —
 /// the resolution the cluster I/O models need.
+#[derive(Debug)]
 pub struct Fabric {
     params: FabricParams,
     tx: Vec<FifoResource>,
@@ -100,6 +116,52 @@ impl Fabric {
     /// Traffic statistics.
     pub fn meter(&self) -> &NetMeter {
         &self.meter
+    }
+
+    /// When `node`'s TX and RX links next become idle.
+    pub fn links(&self, node: NodeId) -> [Time; 2] {
+        [self.tx[node].free_at(), self.rx[node].free_at()]
+    }
+
+    /// Repeats the round of messages `sends` `times` more times, the k-th
+    /// repetition `k × period` later than `sends`: the link state, meter and
+    /// `NetSend` events that `times` more rounds of [`Fabric::send`] calls
+    /// would leave, at O(links) cost plus the events when observed.
+    ///
+    /// Exact in the steady state the caller must have established: no two
+    /// messages of the round cross one link, the round `sends` moved every
+    /// link it crossed exactly `period` later than the round before it, and
+    /// the caller's own state did the same, so every later round is this
+    /// one shifted (the NFS WRITE train of DESIGN §5e.6).
+    pub fn repeat_sends(&mut self, sends: &[Sent], period: Time, times: u64) {
+        let shift = period * times;
+        let bw = self.params.link.bandwidth;
+        for s in sends {
+            if s.from != s.to {
+                let (busy, frames) = frame_cost(s.bytes, self.params.max_frame, |l| bw.time_for(l));
+                let busy = busy.saturating_mul(times);
+                self.tx[s.from].shift(shift, busy, frames * times);
+                self.rx[s.to].shift(shift, busy, frames * times);
+            }
+            self.meter.messages += times;
+            self.meter
+                .transfers
+                .record_n(s.bytes, s.end - s.start, times);
+        }
+        if simcore::obs::enabled() {
+            for k in 1..=times {
+                let d = period * k;
+                for s in sends {
+                    simcore::obs::emit(|| simcore::obs::ObsEvent::NetSend {
+                        from: s.from,
+                        to: s.to,
+                        bytes: s.bytes,
+                        start: s.start + d,
+                        end: s.end + d,
+                    });
+                }
+            }
+        }
     }
 
     /// Sends `bytes` from `from` to `to` starting at `now`; returns the
@@ -168,6 +230,21 @@ pub(crate) fn pipeline(
         let last = svc(tail);
         let txl = tx.submit(tx_mid.end, last);
         rx.submit(txl.end, last).end
+    }
+}
+
+/// The busy time and frame count one message of `bytes` puts on each link
+/// it crosses: what [`pipeline`] submits to its TX and to its RX link.
+fn frame_cost(bytes: u64, frame: u64, svc: impl Fn(u64) -> Time) -> (Time, u64) {
+    if bytes <= frame {
+        (svc(bytes.max(1)), 1)
+    } else {
+        let full = (bytes - 1) / frame;
+        let tail = bytes - full * frame;
+        (
+            svc(frame).saturating_mul(full).saturating_add(svc(tail)),
+            full + 1,
+        )
     }
 }
 
@@ -284,10 +361,7 @@ impl Network {
         bytes: u64,
         class: TrafficClass,
     ) -> Time {
-        let idx = match class {
-            TrafficClass::Mpi => self.route_mpi,
-            TrafficClass::Storage => self.route_storage,
-        };
+        let idx = self.route(class);
         let (dropped, duplicated) = match match class {
             TrafficClass::Mpi => &mut self.degrade_mpi,
             TrafficClass::Storage => &mut self.degrade_storage,
@@ -313,11 +387,23 @@ impl Network {
 
     /// The fabric serving a class (for meters).
     pub fn fabric(&self, class: TrafficClass) -> &Fabric {
-        let idx = match class {
+        &self.fabrics[self.route(class)]
+    }
+
+    fn route(&self, class: TrafficClass) -> usize {
+        match class {
             TrafficClass::Mpi => self.route_mpi,
             TrafficClass::Storage => self.route_storage,
-        };
-        &self.fabrics[idx]
+        }
+    }
+
+    /// [`Fabric::repeat_sends`] on the fabric serving `class`, which must
+    /// not be degraded: loss and duplication draw from a random stream per
+    /// message, so no round repeats another.
+    pub fn repeat_sends(&mut self, class: TrafficClass, sends: &[Sent], period: Time, times: u64) {
+        assert!(!self.is_degraded(class), "a degraded class never repeats");
+        let idx = self.route(class);
+        self.fabrics[idx].repeat_sends(sends, period, times);
     }
 }
 
@@ -481,6 +567,61 @@ mod tests {
             let b = reference_send(&mut slow, now, from, to, bytes);
             assert_eq!(a, b, "delivery diverged at message {i} ({bytes} bytes)");
             now += Time::from_micros(rng.next_below(500));
+        }
+        assert_eq!(fast.meter().messages, slow.meter().messages);
+        assert_eq!(fast.meter().transfers, slow.meter().transfers);
+    }
+
+    /// Rounds of a request and its reply, each round `period` after the
+    /// last, repeated in closed form equal the same rounds sent one by one.
+    #[test]
+    fn repeated_rounds_match_granular_sends() {
+        let params = FabricParams::gigabit_ethernet();
+        let period = Time::from_millis(2);
+        let round = |f: &mut Fabric, t: Time| {
+            let arrive = f.send(t, 0, 1, 32 * 1024 + 136);
+            let reply = f.send(arrive, 1, 0, 112);
+            let big = f.send(t, 2, 3, 3 * params.max_frame + 5);
+            [
+                Sent {
+                    from: 0,
+                    to: 1,
+                    bytes: 32 * 1024 + 136,
+                    start: t,
+                    end: arrive,
+                },
+                Sent {
+                    from: 1,
+                    to: 0,
+                    bytes: 112,
+                    start: arrive,
+                    end: reply,
+                },
+                Sent {
+                    from: 2,
+                    to: 3,
+                    bytes: 3 * params.max_frame + 5,
+                    start: t,
+                    end: big,
+                },
+            ]
+        };
+        let mut fast = Fabric::new(4, params);
+        let mut slow = Fabric::new(4, params);
+        let mut last = round(&mut fast, Time::ZERO);
+        round(&mut slow, Time::ZERO);
+        for k in 1..=50u64 {
+            let sent = round(&mut slow, period * k);
+            if k == 1 {
+                last = round(&mut fast, period);
+                assert_eq!(sent, last);
+            }
+        }
+        fast.repeat_sends(&last, period, 49);
+        for node in 0..4 {
+            assert_eq!(fast.links(node), slow.links(node));
+            assert_eq!(fast.tx[node].busy_time(), slow.tx[node].busy_time());
+            assert_eq!(fast.rx[node].requests(), slow.rx[node].requests());
         }
         assert_eq!(fast.meter().messages, slow.meter().messages);
         assert_eq!(fast.meter().transfers, slow.meter().transfers);

@@ -19,5 +19,5 @@
 pub mod fabric;
 pub mod hier;
 
-pub use fabric::{Fabric, FabricParams, LinkParams, NetMeter, Network, NodeId, TrafficClass};
+pub use fabric::{Fabric, FabricParams, LinkParams, NetMeter, Network, NodeId, Sent, TrafficClass};
 pub use hier::{HierFabric, HierParams, HierTopology};

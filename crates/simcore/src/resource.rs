@@ -3,10 +3,13 @@
 //! A [`FifoResource`] models a single server (a disk arm, a network link, an
 //! NFS daemon thread). A request arriving at `t` with service time `s`
 //! starts at `max(t, free_at)`, completes at `start + s`, and pushes
-//! `free_at` to the completion time. Provided requests are *issued* in
-//! nondecreasing simulation time — which the event-driven MPI engine
-//! guarantees — the computed completion times are exactly those of a FIFO
-//! queue.
+//! `free_at` to the completion time. Requests are served FIFO *in
+//! submission order*, whatever their arrival instants: a later submission
+//! never overtakes an earlier one. Submissions need not arrive in
+//! nondecreasing time, and often do not — a `Machine` call computes its
+//! whole RPC train eagerly, so a later rank's call may submit earlier
+//! arrivals to the shared server links and daemon pool. Such a request
+//! queues behind everything submitted before it.
 //!
 //! [`MultiResource`] generalizes this to `k` identical servers (e.g. an NFS
 //! server's worker-thread pool): each request is placed on the server that
@@ -14,6 +17,7 @@
 
 use crate::time::Time;
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// Outcome of submitting a request to a resource.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,6 +89,16 @@ impl FifoResource {
         self.free_at
     }
 
+    /// Moves the timeline `by` later and adds `busy` and `requests` to the
+    /// statistics, as a run of requests whose effect is known in closed
+    /// form would (a steady NFS RPC train, which moves every timeline it
+    /// crosses by the same amount).
+    pub fn shift(&mut self, by: Time, busy: Time, requests: u64) {
+        self.free_at += by;
+        self.busy = self.busy.saturating_add(busy);
+        self.requests += requests;
+    }
+
     /// Total time the resource spent serving requests.
     pub fn busy_time(&self) -> Time {
         self.busy
@@ -112,10 +126,14 @@ impl FifoResource {
 /// `k` identical FIFO servers fed from a common queue.
 ///
 /// Requests go to the server that becomes free earliest, matching the
-/// behaviour of a thread pool draining a shared run queue.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// behaviour of a thread pool draining a shared run queue. The servers are
+/// identical, so the pool is just their free instants: a ring sorted
+/// earliest first. A request takes the head and puts its completion back
+/// at the tail when it is the latest (requests that arrive in order), and
+/// in order otherwise.
+#[derive(Clone, Debug)]
 pub struct MultiResource {
-    servers: Vec<FifoResource>,
+    free: VecDeque<Time>,
 }
 
 impl MultiResource {
@@ -123,59 +141,33 @@ impl MultiResource {
     pub fn new(k: usize) -> Self {
         assert!(k >= 1, "a resource pool needs at least one server");
         MultiResource {
-            servers: vec![FifoResource::new(); k],
+            free: VecDeque::from(vec![Time::ZERO; k]),
         }
-    }
-
-    /// Number of servers in the pool.
-    pub fn servers(&self) -> usize {
-        self.servers.len()
     }
 
     /// Submits a request to the earliest-free server.
     pub fn submit(&mut self, arrival: Time, service: Time) -> Grant {
-        let idx = self
-            .servers
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, s)| s.free_at())
-            .map(|(i, _)| i)
-            .expect("pool is non-empty");
-        self.servers[idx].submit(arrival, service)
-    }
-
-    /// When the pool could start a new request at the earliest.
-    pub fn earliest_free(&self) -> Time {
-        self.servers
-            .iter()
-            .map(|s| s.free_at())
-            .min()
-            .unwrap_or(Time::ZERO)
-    }
-
-    /// Total busy time across all servers.
-    pub fn busy_time(&self) -> Time {
-        self.servers.iter().map(|s| s.busy_time()).sum()
-    }
-
-    /// Total requests across all servers.
-    pub fn requests(&self) -> u64 {
-        self.servers.iter().map(|s| s.requests()).sum()
-    }
-
-    /// Mean per-server utilization over `horizon`.
-    pub fn utilization(&self, horizon: Time) -> f64 {
-        if horizon == Time::ZERO || self.servers.is_empty() {
-            return 0.0;
+        let first = self.free.pop_front().expect("pool is non-empty");
+        let start = arrival.max(first);
+        let end = start + service;
+        if self.free.back().is_none_or(|&last| last <= end) {
+            self.free.push_back(end);
+        } else {
+            let at = self.free.partition_point(|&f| f <= end);
+            self.free.insert(at, end);
         }
-        let total: f64 = self.servers.iter().map(|s| s.utilization(horizon)).sum();
-        total / self.servers.len() as f64
+        Grant { start, end }
     }
 
-    /// Forgets all state.
-    pub fn reset(&mut self) {
-        for s in &mut self.servers {
-            s.reset();
+    /// Every server's free instant, earliest first.
+    pub fn free_instants(&self) -> impl Iterator<Item = Time> + '_ {
+        self.free.iter().copied()
+    }
+
+    /// Moves every server's free instant `by` later.
+    pub fn shift(&mut self, by: Time) {
+        for f in &mut self.free {
+            *f += by;
         }
     }
 }
@@ -280,8 +272,7 @@ mod tests {
         assert_eq!(b.start, s(0));
         // Third request waits for the first free server.
         assert_eq!(c.start, s(10));
-        assert_eq!(pool.requests(), 3);
-        assert_eq!(pool.busy_time(), s(30));
+        assert!(pool.free_instants().eq([s(10), s(20)]));
     }
 
     #[test]
@@ -291,21 +282,36 @@ mod tests {
         pool.submit(s(0), s(2)); // server 1 busy until 2
         let g = pool.submit(s(3), s(1));
         assert_eq!(g.start, s(3)); // server 1 free at 2 < arrival 3
-        assert_eq!(pool.earliest_free(), s(4));
+        assert!(pool.free_instants().eq([s(4), s(10)]));
+    }
+
+    #[test]
+    fn out_of_order_completions_keep_the_ring_sorted() {
+        let mut pool = MultiResource::new(3);
+        pool.submit(s(0), s(10));
+        pool.submit(s(0), s(5));
+        pool.submit(s(0), s(1)); // ends at 1, before both others
+        assert!(pool.free_instants().eq([s(1), s(5), s(10)]));
+        let g = pool.submit(s(0), s(1));
+        assert_eq!(g.start, s(1));
+        assert!(pool.free_instants().eq([s(2), s(5), s(10)]));
+        pool.shift(s(3));
+        assert!(pool.free_instants().eq([s(5), s(8), s(13)]));
+    }
+
+    #[test]
+    fn shift_moves_the_timeline_and_adds_statistics() {
+        let mut r = FifoResource::new();
+        r.submit(s(0), s(2));
+        r.shift(s(5), s(4), 2);
+        assert_eq!(r.free_at(), s(7));
+        assert_eq!(r.busy_time(), s(6));
+        assert_eq!(r.requests(), 3);
     }
 
     #[test]
     #[should_panic(expected = "at least one server")]
     fn empty_pool_is_rejected() {
         MultiResource::new(0);
-    }
-
-    #[test]
-    fn multi_utilization_is_mean_of_servers() {
-        let mut pool = MultiResource::new(2);
-        pool.submit(s(0), s(4)); // server A: 4s busy
-        pool.submit(s(0), s(0)); // server B: idle
-        let u = pool.utilization(s(8));
-        assert!((u - 0.25).abs() < 1e-12, "u = {u}");
     }
 }

@@ -129,6 +129,14 @@ impl TransferMeter {
         self.ops += 1;
     }
 
+    /// Records `n` operations, each moving `bytes` over `elapsed`: the same
+    /// totals as `n` calls to [`TransferMeter::record`].
+    pub fn record_n(&mut self, bytes: u64, elapsed: Time, n: u64) {
+        self.bytes += bytes * n;
+        self.busy = self.busy.saturating_add(elapsed.saturating_mul(n));
+        self.ops += n;
+    }
+
     /// Total bytes moved.
     pub fn bytes(&self) -> u64 {
         self.bytes

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use simcore::chaos::{ChaosProfile, HostFaultPlan};
-use simcore::{Bandwidth, EventQueue, FifoResource, SplitMix64, Time};
+use simcore::{Bandwidth, EventQueue, FifoResource, MultiResource, SplitMix64, Time};
 
 /// Every named chaos profile.
 const PROFILES: [&str; 5] = ["store", "panic", "memo", "trace", "mixed"];
@@ -100,6 +100,35 @@ proptest! {
             total_service += service;
         }
         prop_assert_eq!(r.busy_time(), total_service);
+    }
+
+    /// The sorted-ring daemon pool grants exactly what a scan of `k`
+    /// servers for the earliest free one (the pool it replaced) grants, for
+    /// arrivals in any order, zero and equal service times included.
+    #[test]
+    fn daemon_pool_matches_an_earliest_free_scan(
+        k in 1usize..=16,
+        jobs in proptest::collection::vec(
+            (0u64..2_000, prop_oneof![Just(0u64), Just(50), 1u64..400]),
+            1..200,
+        )
+    ) {
+        let mut pool = MultiResource::new(k);
+        let mut servers = vec![FifoResource::new(); k];
+        for &(arrival, service) in &jobs {
+            let (arrival, service) = (Time::from_nanos(arrival), Time::from_nanos(service));
+            let idx = servers
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, s)| s.free_at())
+                .map(|(i, _)| i)
+                .expect("pool is non-empty");
+            let want = servers[idx].submit(arrival, service);
+            prop_assert_eq!(pool.submit(arrival, service), want);
+            let mut free: Vec<Time> = servers.iter().map(|s| s.free_at()).collect();
+            free.sort_unstable();
+            prop_assert!(pool.free_instants().eq(free));
+        }
     }
 
     /// `time_for` and `measured` are mutually consistent within rounding.
