@@ -207,6 +207,7 @@ fn an_oversized_grammar_exits_2_with_its_line() {
     for (i, src) in [
         "scenario s\nranks 99999999999\nphase p { barrier }\n",
         "scenario s\nphase p repeat 4000000000 { barrier }\n",
+        "scenario s\nphase p { choose 18446744073709551615 { barrier } or 1 { barrier } }\n",
     ]
     .into_iter()
     .enumerate()

@@ -99,6 +99,17 @@ impl Volume for BoxedVolume {
     ) -> Option<storage::IoGrant> {
         self.0.try_bulk_run(now, req, chunk)
     }
+    fn read_train_state(
+        &self,
+        now: Time,
+        offset: u64,
+        out: &mut Vec<u64>,
+    ) -> Option<storage::ReadTrainBounds> {
+        self.0.read_train_state(now, offset, out)
+    }
+    fn repeat_reads(&mut self, reads: &[storage::TimedRead], period: Time, stride: u64, n: u64) {
+        self.0.repeat_reads(reads, period, stride, n)
+    }
     fn set_fault_horizon(&mut self, horizon: Option<Time>) {
         self.0.set_fault_horizon(horizon)
     }

@@ -32,6 +32,7 @@ pub mod meta;
 pub mod nfs;
 pub mod pfs;
 pub mod range_cache;
+mod train;
 
 pub use file::FileId;
 pub use local::{LocalFs, LocalFsParams};

@@ -18,7 +18,7 @@ use crate::meta::{MetaOps, MetaVerb};
 use crate::range_cache::{RangeCache, RangeRef};
 use simcore::stats::TransferMeter;
 use simcore::{Bandwidth, FxHashMap, Time};
-use storage::{BlockReq, InlineVec, Volume};
+use storage::{BlockReq, InlineVec, ReadTrainBounds, TimedRead, Volume};
 
 /// Tunables of a local filesystem.
 #[derive(Clone, Debug)]
@@ -76,6 +76,70 @@ pub struct FsMeter {
     pub writes: TransferMeter,
     /// Metadata operations served.
     pub meta_ops: u64,
+}
+
+/// What one [`LocalFs`] read did: the NFS read train (DESIGN §5e.6)
+/// repeats it.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct ReadTrace {
+    /// When the read began.
+    pub(crate) at: Time,
+    /// When the data was in the caller's buffer.
+    pub(crate) done: Time,
+    /// Bytes the page cache held.
+    pub(crate) hit: u64,
+    /// Bytes it missed, readahead included.
+    pub(crate) miss: u64,
+    /// The volume read, if it made any (the last one).
+    pub(crate) vol: Option<TimedRead>,
+    /// At most one volume read and no eviction: a read a train repeats.
+    pub(crate) simple: bool,
+}
+
+/// The page cache ahead of a sequential reader.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Frontier {
+    /// The reader's position is cached without a gap up to here.
+    pub(crate) cover: u64,
+    /// The first cached byte after `cover` (`u64::MAX` if none).
+    pub(crate) next: u64,
+}
+
+/// Where a read train's next volume read starts, and how far it may go.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct VolumeFront {
+    /// Volume offset of the frontier.
+    pub(crate) voff: u64,
+    /// File offset where the frontier's extent ends: the volume offset
+    /// moves with the file offset only up to there.
+    pub(crate) extent_end: u64,
+    /// The volume's own limits.
+    pub(crate) bounds: ReadTrainBounds,
+}
+
+/// `n` more periods of a read train (see [`LocalFs::repeat_reads`]).
+pub(crate) struct ReadRepeat<'a> {
+    /// The file read.
+    pub(crate) file: FileId,
+    /// Offset of the next read.
+    pub(crate) pos: u64,
+    /// The page cache's frontier at `pos`.
+    pub(crate) cover: u64,
+    /// Whether the period read the volume, filling the cache past
+    /// `cover`; otherwise every read hit.
+    pub(crate) fill: bool,
+    /// Bytes per read.
+    pub(crate) len: u64,
+    /// How long each read of the period took.
+    pub(crate) took: &'a [Time],
+    /// The period's volume reads.
+    pub(crate) reads: &'a [TimedRead],
+    /// Time from one period to the next.
+    pub(crate) period: Time,
+    /// Bytes from one period to the next.
+    pub(crate) stride: u64,
+    /// Periods to apply.
+    pub(crate) n: u64,
 }
 
 /// An ext4-like filesystem over a block volume.
@@ -314,6 +378,11 @@ impl LocalFs {
         t
     }
 
+    /// Bytes the page cache takes before it evicts.
+    pub(crate) fn cache_room(&self) -> u64 {
+        self.cache.capacity().saturating_sub(self.cache.used())
+    }
+
     /// How many back-to-back [`LocalFs::write`]s of `len` bytes fit in the
     /// page cache as it stands with none of them evicting or throttling:
     /// each one's room check and dirty check pass even if none overwrote
@@ -344,6 +413,18 @@ impl LocalFs {
     /// Reads `len` bytes at `offset`; returns the instant the data is in
     /// the caller's buffer.
     pub fn read(&mut self, now: Time, file: FileId, offset: u64, len: u64) -> Time {
+        self.read_traced(now, file, offset, len, None)
+    }
+
+    /// [`LocalFs::read`], telling `trace`, if any, what it did.
+    pub(crate) fn read_traced(
+        &mut self,
+        now: Time,
+        file: FileId,
+        offset: u64,
+        len: u64,
+        trace: Option<&mut ReadTrace>,
+    ) -> Time {
         assert!(len > 0, "zero-length read");
         let end = offset + len;
         let (hit_bytes, mut misses) = self.cache.lookup(file, offset, end);
@@ -367,14 +448,25 @@ impl LocalFs {
             miss_bytes,
             at: now,
         });
+        let mut simple = misses.len() <= 1;
+        let mut vol = None;
         for m in misses.iter() {
             let need = m.len();
+            let used = self.cache.used();
             let flush = self.cache.ensure_room(need.min(self.cache.capacity()));
+            simple &= self.cache.used() == used;
             if !flush.is_empty() {
                 device_done = self.writeback(device_done, &flush);
             }
-            for &(voff, l) in self.map(m.file, m.start, m.end).iter() {
-                let g = self.vol.submit(now, BlockReq::read(voff, l));
+            for (i, &(voff, l)) in self.map(m.file, m.start, m.end).iter().enumerate() {
+                let req = BlockReq::read(voff, l);
+                let g = self.vol.submit(now, req);
+                simple &= i == 0;
+                vol = Some(TimedRead {
+                    arrival: now,
+                    req,
+                    grant: g,
+                });
                 device_done = device_done.max(g.ack);
                 simcore::obs::emit(|| simcore::obs::ObsEvent::StorageIo {
                     volume: self.vol.kind(),
@@ -390,7 +482,71 @@ impl LocalFs {
         let copy = self.params.mem_bw.time_for(len);
         let t = device_done.max(now) + copy;
         self.meter.reads.record(len, t - now);
+        if let Some(trace) = trace {
+            *trace = ReadTrace {
+                at: now,
+                done: t,
+                hit: hit_bytes,
+                miss: miss_bytes,
+                vol,
+                simple,
+            };
+        }
         t
+    }
+
+    /// The page cache ahead of a sequential reader of `file` at `pos`.
+    pub(crate) fn frontier(&self, file: FileId, pos: u64) -> Frontier {
+        let (cover, next) = self.cache.run_from(file, pos);
+        Frontier { cover, next }
+    }
+
+    /// The volume's read-train state (appended to `out`, instants relative
+    /// to `now`) for a read of `file` from `offset` on, where `offset` sits
+    /// in the volume and how far its extent goes; `None` when `offset` is
+    /// not allocated or the volume declines
+    /// ([`Volume::read_train_state`]).
+    pub(crate) fn volume_front(
+        &self,
+        file: FileId,
+        offset: u64,
+        now: Time,
+        out: &mut Vec<u64>,
+    ) -> Option<VolumeFront> {
+        let meta = self.files.get(&file)?;
+        let &(foff, voff, len) = meta
+            .extents
+            .iter()
+            .find(|&&(foff, _, len)| foff <= offset && offset < foff + len)?;
+        let voff = voff + (offset - foff);
+        let bounds = self.vol.read_train_state(now, voff, out)?;
+        Some(VolumeFront {
+            voff,
+            extent_end: foff + len,
+            bounds,
+        })
+    }
+
+    /// Applies `r.n` more periods of a read train: the state as many more
+    /// [`LocalFs::read`]s would leave, each period moved `r.period` later
+    /// and `r.stride` bytes on. The caller guarantees that they evict
+    /// nothing and that no byte past `r.cover` is cached where they fill,
+    /// so their lookups touch the cached run `[r.pos, r.cover)` in offset
+    /// order and their fills, contiguous and clean, merge into one insert.
+    pub(crate) fn repeat_reads(&mut self, r: &ReadRepeat<'_>) {
+        let span = r.stride * r.n;
+        let reach = r.pos + span;
+        if r.cover > r.pos {
+            self.cache.lookup(r.file, r.pos, r.cover.min(reach));
+        }
+        if r.fill {
+            self.cache.insert(r.file, r.cover, r.cover + span, false);
+            self.vol.repeat_reads(r.reads, r.period, r.stride, r.n);
+        }
+        self.files.entry(r.file).or_default().last_read_end = Some(reach);
+        for &took in r.took {
+            self.meter.reads.record_n(r.len, took, r.n);
+        }
     }
 
     /// Flushes `file`'s dirty data and the device caches; returns the

@@ -441,6 +441,34 @@ impl RangeCache {
         (hit, misses)
     }
 
+    /// The cached run at `pos` of `file`: `(end, next)`, where `[pos, end)`
+    /// is cached without a gap (`end == pos` when `pos` is not cached) and
+    /// `next` is the start of the first cached byte after `end`
+    /// (`u64::MAX` if none). A run spanning more than `RUN_SEGMENTS`
+    /// segments is cut there, `next` then equal to `end`: a lower bound on
+    /// the run, and no room after it.
+    pub(crate) fn run_from(&self, file: FileId, pos: u64) -> (u64, u64) {
+        /// Segments a run walks at most.
+        const RUN_SEGMENTS: usize = 64;
+        let Some(list) = self.files.get(&file.0) else {
+            return (pos, u64::MAX);
+        };
+        let segs = &list.segs;
+        let p = list.seg_idx(pos);
+        let mut k = if p > 0 && segs[p - 1].end > pos {
+            p - 1
+        } else {
+            p
+        };
+        let mut end = pos;
+        let last = segs.len().min(k + RUN_SEGMENTS);
+        while k < last && segs[k].start <= end {
+            end = segs[k].end;
+            k += 1;
+        }
+        (end, segs.get(k).map_or(u64::MAX, |s| s.start))
+    }
+
     /// Marks `[start, end)` clean where cached (after a successful
     /// writeback). A cleaned range becomes most-recently-used, then merges
     /// with clean neighbours.

@@ -76,6 +76,21 @@ pub struct Sent {
     pub end: Time,
 }
 
+impl Sent {
+    /// Emits this message's `NetSend` event moved `by` later: what the same
+    /// send would report `by` later in a repeating round (see
+    /// [`Fabric::repeat_sends`]).
+    pub fn emit_shifted(&self, by: Time) {
+        simcore::obs::emit(|| simcore::obs::ObsEvent::NetSend {
+            from: self.from,
+            to: self.to,
+            bytes: self.bytes,
+            start: self.start + by,
+            end: self.end + by,
+        });
+    }
+}
+
 /// A non-blocking switch with one full-duplex link per node.
 ///
 /// A message from `a` to `b` serializes on `a`'s TX link and `b`'s RX link
@@ -124,43 +139,35 @@ impl Fabric {
     }
 
     /// Repeats the round of messages `sends` `times` more times, the k-th
-    /// repetition `k × period` later than `sends`: the link state, meter and
-    /// `NetSend` events that `times` more rounds of [`Fabric::send`] calls
-    /// would leave, at O(links) cost plus the events when observed.
+    /// repetition `k × period` later than `sends`: the link state and meter
+    /// that `times` more rounds of [`Fabric::send`] calls would leave, at
+    /// O(messages) cost. The caller emits the rounds' `NetSend` events
+    /// ([`Sent::emit_shifted`]), interleaved with its own.
     ///
-    /// Exact in the steady state the caller must have established: no two
-    /// messages of the round cross one link, the round `sends` moved every
-    /// link it crossed exactly `period` later than the round before it, and
-    /// the caller's own state did the same, so every later round is this
-    /// one shifted (the NFS WRITE train of DESIGN §5e.6).
+    /// Exact in the steady state the caller must have established: the
+    /// round `sends` moved every link it crossed exactly `period` later than
+    /// the round before it, and the caller's own state did the same, so
+    /// every later round is this one shifted (the NFS RPC trains of DESIGN
+    /// §5e.6). A link that several messages of the round cross moves once
+    /// and gains every message's busy time.
     pub fn repeat_sends(&mut self, sends: &[Sent], period: Time, times: u64) {
         let shift = period * times;
         let bw = self.params.link.bandwidth;
-        for s in sends {
+        for (i, s) in sends.iter().enumerate() {
             if s.from != s.to {
                 let (busy, frames) = frame_cost(s.bytes, self.params.max_frame, |l| bw.time_for(l));
                 let busy = busy.saturating_mul(times);
-                self.tx[s.from].shift(shift, busy, frames * times);
-                self.rx[s.to].shift(shift, busy, frames * times);
+                let earlier = &sends[..i];
+                let moved = |seen: bool| if seen { Time::ZERO } else { shift };
+                let tx = moved(earlier.iter().any(|p| p.from != p.to && p.from == s.from));
+                let rx = moved(earlier.iter().any(|p| p.from != p.to && p.to == s.to));
+                self.tx[s.from].shift(tx, busy, frames * times);
+                self.rx[s.to].shift(rx, busy, frames * times);
             }
             self.meter.messages += times;
             self.meter
                 .transfers
                 .record_n(s.bytes, s.end - s.start, times);
-        }
-        if simcore::obs::enabled() {
-            for k in 1..=times {
-                let d = period * k;
-                for s in sends {
-                    simcore::obs::emit(|| simcore::obs::ObsEvent::NetSend {
-                        from: s.from,
-                        to: s.to,
-                        bytes: s.bytes,
-                        start: s.start + d,
-                        end: s.end + d,
-                    });
-                }
-            }
         }
     }
 
@@ -582,6 +589,8 @@ mod tests {
             let arrive = f.send(t, 0, 1, 32 * 1024 + 136);
             let reply = f.send(arrive, 1, 0, 112);
             let big = f.send(t, 2, 3, 3 * params.max_frame + 5);
+            // A second request on the first one's links: they move once.
+            let again = f.send(t, 0, 1, 4096);
             [
                 Sent {
                     from: 0,
@@ -603,6 +612,13 @@ mod tests {
                     bytes: 3 * params.max_frame + 5,
                     start: t,
                     end: big,
+                },
+                Sent {
+                    from: 0,
+                    to: 1,
+                    bytes: 4096,
+                    start: t,
+                    end: again,
                 },
             ]
         };

@@ -15,7 +15,7 @@
 //! * Reads pass through (read caching belongs to the filesystem page cache).
 
 use crate::req::{BlockOp, BlockReq, IoGrant};
-use crate::volume::{RebuildReport, Volume, VolumeError, VolumeMeter};
+use crate::volume::{ReadTrainBounds, RebuildReport, TimedRead, Volume, VolumeError, VolumeMeter};
 use serde::{Deserialize, Serialize};
 use simcore::{Bandwidth, FifoResource, Time};
 use std::collections::VecDeque;
@@ -164,6 +164,24 @@ impl<V: Volume> Volume for CachedVolume<V> {
 
     fn meter(&self) -> &VolumeMeter {
         &self.meter
+    }
+
+    // Reads pass through and leave the cache alone, so a read train is
+    // the backing volume's.
+    fn read_train_state(
+        &self,
+        now: Time,
+        offset: u64,
+        out: &mut Vec<u64>,
+    ) -> Option<ReadTrainBounds> {
+        self.inner.read_train_state(now, offset, out)
+    }
+
+    fn repeat_reads(&mut self, reads: &[TimedRead], period: Time, stride: u64, n: u64) {
+        self.inner.repeat_reads(reads, period, stride, n);
+        for r in reads {
+            self.meter.record_n(&r.req, r.arrival, &r.grant, n);
+        }
     }
 
     // The write cache acknowledges every chunk individually, so chunked

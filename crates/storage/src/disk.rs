@@ -11,6 +11,7 @@
 //! `[0, full_revolution)` drawn from a deterministic per-disk RNG.
 
 use crate::req::{BlockOp, BlockReq, IoGrant};
+use crate::volume::TimedRead;
 use serde::{Deserialize, Serialize};
 use simcore::{Bandwidth, FifoResource, SplitMix64, Time};
 
@@ -111,6 +112,30 @@ impl Disk {
     /// When the command queue drains.
     pub fn free_at(&self) -> Time {
         self.timeline.free_at()
+    }
+
+    /// Where the head sits: the end of the last command, `None` on a cold
+    /// or freshly swapped drive. A command starting there skips
+    /// positioning.
+    pub fn head(&self) -> Option<u64> {
+        self.last_end
+    }
+
+    /// Applies `n` more repetitions of the sequential reads `reads` this
+    /// disk served, the j-th `j × period` later and `j × stride` bytes
+    /// further on: the queue moves `n × period`, the head `n × stride`, and
+    /// busy time and command counts grow `n`-fold. Exact when the reads
+    /// kept the head in place (no positioning, so no random draw) and moved
+    /// the queue by `period` each time.
+    pub fn repeat_reads(&mut self, reads: &[TimedRead], period: Time, stride: u64, n: u64) {
+        let busy = reads
+            .iter()
+            .fold(Time::ZERO, |b, r| b + (r.grant.ack - r.grant.start));
+        let commands = reads.len() as u64 * n;
+        self.timeline
+            .shift(period * n, busy.saturating_mul(n), commands);
+        self.last_end = self.last_end.map(|end| end + stride * n);
+        self.ios += commands;
     }
 
     /// Total busy time (for utilization reports).

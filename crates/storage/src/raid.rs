@@ -21,7 +21,7 @@
 use crate::disk::Disk;
 use crate::inline::InlineVec;
 use crate::req::{BlockOp, BlockReq, IoGrant};
-use crate::volume::{RebuildReport, Volume, VolumeError, VolumeMeter};
+use crate::volume::{ReadTrainBounds, RebuildReport, TimedRead, Volume, VolumeError, VolumeMeter};
 use simcore::Time;
 
 /// Member-local bytes reconstructed per background rebuild pass.
@@ -150,6 +150,20 @@ fn member_bound(disk: &Disk, now: Time, op: BlockOp, piece: u64, count: u64) -> 
         + p.avg_seek * 2
         + p.full_revolution
         + (p.cmd_overhead + bw.time_for(piece)) * count
+}
+
+/// `at` relative to `now`, as read-train snapshots hold instants.
+fn rel(at: Time, now: Time) -> u64 {
+    at.as_nanos().wrapping_sub(now.as_nanos())
+}
+
+/// Records `n` more repetitions of a read train's period `reads` in
+/// `meter`, one disk command per read.
+fn record_reads(meter: &mut VolumeMeter, reads: &[TimedRead], n: u64) {
+    for r in reads {
+        meter.record_n(&r.req, r.arrival, &r.grant, n);
+    }
+    meter.disk_ios += reads.len() as u64 * n;
 }
 
 /// Whether a run bounded by `bound` stays clear of the fault horizon.
@@ -336,6 +350,28 @@ impl Volume for Jbod {
             ));
         }
         Some(grant)
+    }
+
+    // A read at the head costs a fixed service time once the disk frees
+    // up, so the disk's free instant is all a sequential read reads.
+    fn read_train_state(
+        &self,
+        now: Time,
+        offset: u64,
+        out: &mut Vec<u64>,
+    ) -> Option<ReadTrainBounds> {
+        (self.disk.head() == Some(offset)).then(|| {
+            out.push(rel(self.disk.free_at(), now));
+            ReadTrainBounds {
+                horizon: self.fault_horizon,
+                end: u64::MAX,
+            }
+        })
+    }
+
+    fn repeat_reads(&mut self, reads: &[TimedRead], period: Time, stride: u64, n: u64) {
+        self.disk.repeat_reads(reads, period, stride, n);
+        record_reads(&mut self.meter, reads, n);
     }
 
     fn set_fault_horizon(&mut self, horizon: Option<Time>) {
@@ -803,6 +839,51 @@ impl Volume for Raid1 {
             ));
         }
         Some(grant)
+    }
+
+    // A sequential stream follows the rolling hint (or the survivor), so
+    // the other member's state is never read; a running rebuild works on
+    // its own clock, so it declines.
+    fn read_train_state(
+        &self,
+        now: Time,
+        offset: u64,
+        out: &mut Vec<u64>,
+    ) -> Option<ReadTrainBounds> {
+        if self.rebuild.is_some_and(|rb| rb.running()) {
+            return None;
+        }
+        let d = match (self.failed, self.seq_hint) {
+            (Some(f), _) => 1 - f,
+            (None, Some((end, d))) if end == offset => d,
+            _ => return None,
+        };
+        if self.disks[d].head() != Some(offset) {
+            return None;
+        }
+        out.extend([d as u64, rel(self.disks[d].free_at(), now)]);
+        // A read on member 1 ending where member 0's last read ended hands
+        // the hint to member 0 (`note_read`), so a train stops short of it.
+        let end = match self.last_read_end[0] {
+            Some(e) if d == 1 && e > offset => e,
+            _ => u64::MAX,
+        };
+        Some(ReadTrainBounds {
+            horizon: self.fault_horizon,
+            end,
+        })
+    }
+
+    fn repeat_reads(&mut self, reads: &[TimedRead], period: Time, stride: u64, n: u64) {
+        let d = match (self.failed, self.seq_hint) {
+            (Some(f), _) => 1 - f,
+            (None, hint) => hint.expect("a read train follows the hint").1,
+        };
+        self.disks[d].repeat_reads(reads, period, stride, n);
+        let end = reads.last().expect("a period reads").req.end() + stride * n;
+        self.high_water = self.high_water.max(end);
+        self.note_read(d, end);
+        record_reads(&mut self.meter, reads, n);
     }
 
     fn set_fault_horizon(&mut self, horizon: Option<Time>) {

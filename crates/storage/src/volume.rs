@@ -100,6 +100,29 @@ impl RebuildReport {
     }
 }
 
+/// One read a volume served: when it arrived, what it asked for and when
+/// it ran. A read train's period is a list of these (DESIGN §5e.6).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TimedRead {
+    /// Arrival instant of the request.
+    pub arrival: Time,
+    /// The request.
+    pub req: BlockReq,
+    /// Its completion times.
+    pub grant: IoGrant,
+}
+
+/// Limits a volume puts on a read train (see
+/// [`Volume::read_train_state`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReadTrainBounds {
+    /// The volume's fault horizon: every read of a train completes before
+    /// it, so fault windows see event-granular traffic.
+    pub horizon: Option<Time>,
+    /// Every read of a train ends before this offset.
+    pub end: u64,
+}
+
 /// Transfer accounting for a volume, split by direction.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct VolumeMeter {
@@ -121,6 +144,16 @@ impl VolumeMeter {
             &mut self.reads
         };
         meter.record(req.len, grant.latency(arrival));
+    }
+
+    /// Records the same outcome `n` times.
+    pub fn record_n(&mut self, req: &BlockReq, arrival: Time, grant: &IoGrant, n: u64) {
+        let meter = if req.op.is_write() {
+            &mut self.writes
+        } else {
+            &mut self.reads
+        };
+        meter.record_n(req.len, grant.latency(arrival), n);
     }
 }
 
@@ -193,6 +226,35 @@ pub trait Volume {
     /// through their `submit`.
     fn try_bulk_run(&mut self, _now: Time, _req: BlockReq, _chunk: u64) -> Option<IoGrant> {
         None
+    }
+
+    /// Read-train support (DESIGN §5e.6). Appends to `out` what a
+    /// sequential read starting at `offset`, arriving at or after `now`,
+    /// reads of this volume and a move in time and offset would not leave
+    /// equal: member free instants relative to `now`, member choices.
+    /// Returns the bounds a train of such reads must stay within, or `None`
+    /// when the next read does not move with time and offset (a head away
+    /// from `offset` draws a random positioning time; a rebuild works on
+    /// its own clock). Reads leave a controller write cache alone, so JBOD,
+    /// RAID 1 and [`crate::CachedVolume`] over either implement it; every
+    /// other volume declines.
+    fn read_train_state(
+        &self,
+        _now: Time,
+        _offset: u64,
+        _out: &mut Vec<u64>,
+    ) -> Option<ReadTrainBounds> {
+        None
+    }
+
+    /// Applies `n` more repetitions of a read train's period `reads`, the
+    /// j-th `j × period` later and `j × stride` bytes further on: the
+    /// member timelines, heads and meters that as many more
+    /// [`Volume::submit`] calls would leave. Called only when
+    /// [`Volume::read_train_state`] gave equal states before and after the
+    /// period and the repetitions stay within its bounds.
+    fn repeat_reads(&mut self, _reads: &[TimedRead], _period: Time, _stride: u64, _n: u64) {
+        unreachable!("{} has no read trains", self.kind());
     }
 
     /// Installs the *fault horizon*: the instant of the next scheduled

@@ -453,6 +453,8 @@ impl Parser {
             }
             "choose" => {
                 let mut arms = Vec::new();
+                // Sampling draws below the weights' sum, so it must fit.
+                let mut total = 0u64;
                 loop {
                     let weight = if self.peek() == Some("{") {
                         1
@@ -463,6 +465,10 @@ impl Parser {
                     if weight == 0 {
                         return self.err("arm weight must be positive");
                     }
+                    total = match total.checked_add(weight) {
+                        Some(total) => total,
+                        None => return self.err("arm weights sum beyond 2^64"),
+                    };
                     arms.push((weight, self.block(files)?));
                     if self.peek() == Some("or") {
                         self.pos += 1;
@@ -1054,6 +1060,20 @@ mod tests {
         // Empty bodies are walked too.
         let empty = "scenario s\nphase p repeat 4000000000 { loop 2 { } }";
         assert_eq!(Grammar::parse(empty).expect_err("8G iterations").line, 2);
+    }
+
+    #[test]
+    fn choose_weights_that_overflow_are_a_parse_error() {
+        let src =
+            "scenario s\nphase p {\n  choose 18446744073709551615 { barrier } or 1 { barrier }\n}";
+        let err = Grammar::parse(src).expect_err("weights sum beyond u64");
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("sum beyond"), "{err}");
+        // The largest weights that still sum inside u64 parse and sample.
+        let src =
+            "scenario s\nphase p {\n  choose 18446744073709551614 { barrier } or 1 { barrier }\n}";
+        let g = Grammar::parse(src).expect("weights sum to u64::MAX");
+        assert_eq!(g.sample(1, 2).len(), 2);
     }
 
     #[test]
