@@ -15,14 +15,14 @@
 //!   routes each file to its mount (node-local filesystem, the NFS export,
 //!   or directly to the I/O node's local filesystem for device-level
 //!   characterization) and carries MPI traffic over the right fabric.
+//!   Nodes share the NFS server and the networks, and that contention is
+//!   what the methodology measures.
 
 pub mod config;
 pub mod machine;
 pub mod presets;
-pub mod scale;
 pub mod spec;
 
 pub use config::{ConfigError, DeviceLayout, IoConfig, IoConfigBuilder, NetworkLayout};
 pub use machine::{ClusterMachine, Mount};
-pub use scale::{scale_1024, ScaleMachine, ScaleSpec};
 pub use spec::ClusterSpec;

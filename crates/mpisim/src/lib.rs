@@ -20,14 +20,10 @@
 //! millions of operations (NAS BT-IO *simple* issues 4.2 × 10⁶ writes at
 //! class C) can generate ops on the fly without materializing them.
 
-pub mod collapse;
 pub mod machine;
 pub mod op;
 pub mod runtime;
 
 pub use machine::Machine;
-pub use op::{
-    ChainStream, ChunkedStream, GenStream, MpiOp, OpStream, SignedStream, StreamSignature,
-    VecStream,
-};
+pub use op::{ChainStream, ChunkedStream, GenStream, MpiOp, OpStream, VecStream};
 pub use runtime::{ProgramFault, RunError, RunStats, Runtime, RuntimeParams};

@@ -52,25 +52,17 @@ pub trait Machine {
         self.io_open(now, node, target, false)
     }
 
-    /// Whether op costs are *rank-invariant*: the result of every `io_*`
-    /// call and the duration of every `mpi_send` depend only on the op's
-    /// parameters (kind, length) and the issuing rank's own prior
-    /// operations — never on other ranks' activity, on the node id within
-    /// a [`Machine::node_class`], or on the file offset. Implementations
-    /// answering `true` additionally tolerate invocation times that are
-    /// monotone *per rank* rather than globally, because the collapsed
-    /// executor replays one representative rank's timeline for a whole
-    /// cohort. Contention-modelling machines must answer `false` (the
-    /// default); only machines whose state is fully partitioned per node
-    /// may opt in.
+    /// Whether op costs are *rank-invariant*: independent of other
+    /// ranks' activity, of the node and of the file offset. The runtime
+    /// does not consult it. It stays on the trait only because perfbench's
+    /// `TimedMachine` forwards it, and it goes when that wrapper does.
     fn rank_invariant(&self) -> bool {
         false
     }
 
-    /// Equivalence class of `node` for symmetric-cohort grouping: two
-    /// nodes in the same class promise identical op costs. The default
-    /// (one class for every node) is correct for any machine that is
-    /// [`Machine::rank_invariant`]; heterogeneous machines refine it.
+    /// Equivalence class of `node`: two nodes in one class promise
+    /// identical op costs. Like [`Machine::rank_invariant`], the runtime
+    /// does not consult it, and it goes with perfbench's `TimedMachine`.
     fn node_class(&self, node: NodeId) -> u64 {
         let _ = node;
         0
@@ -109,11 +101,6 @@ impl FixedMachine {
 impl Machine for FixedMachine {
     fn nodes(&self) -> usize {
         self.node_count
-    }
-
-    fn rank_invariant(&self) -> bool {
-        // Every cost below is a pure function of the op's length.
-        true
     }
 
     fn mpi_send(&mut self, now: Time, _from: NodeId, _to: NodeId, _bytes: u64) -> Time {

@@ -187,39 +187,6 @@ impl MpiOp {
     }
 }
 
-/// A symmetry fingerprint asserted by a workload generator over a rank
-/// program (see [`SignedStream`]).
-///
-/// Two programs carrying the same signature promise to be *identical
-/// modulo rank-indexed offsets*: the same sequence of op kinds, the same
-/// durations, files and lengths, with only `offset` fields (and `Meta`
-/// targets) allowed to differ per rank. The signature further promises
-/// that the program contains only *collapse-safe* ops — no point-to-point
-/// messaging, no collectives other than `Barrier`, nothing whose cost
-/// couples ranks outside a barrier. The collapsed executor trusts this
-/// assertion and panics if stepping ever contradicts it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct StreamSignature {
-    /// Fingerprint of the rank-independent program shape.
-    pub fingerprint: u64,
-    /// Number of operations in the program.
-    pub ops: u64,
-}
-
-impl StreamSignature {
-    /// Builds a signature from a textual description of the program shape
-    /// (generator name plus every rank-independent parameter) and the op
-    /// count. The description must *not* include rank-indexed values.
-    pub fn from_shape(shape: &str, ops: u64) -> StreamSignature {
-        // FNV-1a: stable, collision-safe enough for the handful of
-        // distinct program shapes alive in one run.
-        StreamSignature {
-            fingerprint: simcore::fnv1a64(shape.as_bytes()),
-            ops,
-        }
-    }
-}
-
 /// A lazily generated stream of operations for one rank.
 ///
 /// Implemented by workload generators so multi-million-op programs never
@@ -227,39 +194,6 @@ impl StreamSignature {
 pub trait OpStream {
     /// The next operation, or `None` when the rank's program ends.
     fn next_op(&mut self) -> Option<MpiOp>;
-
-    /// The program's symmetry signature, if the generator can assert one
-    /// (see [`StreamSignature`]). `None` — the default — means the runtime
-    /// must execute this rank granularly.
-    fn signature(&self) -> Option<StreamSignature> {
-        None
-    }
-}
-
-/// An [`OpStream`] wrapper carrying a [`StreamSignature`] asserted by the
-/// workload generator that built it.
-pub struct SignedStream {
-    inner: Box<dyn OpStream>,
-    sig: StreamSignature,
-}
-
-impl SignedStream {
-    /// Attaches `sig` to `inner`. The caller vouches for the signature's
-    /// contract; the collapsed executor panics on any violation it can
-    /// observe.
-    pub fn new(inner: Box<dyn OpStream>, sig: StreamSignature) -> SignedStream {
-        SignedStream { inner, sig }
-    }
-}
-
-impl OpStream for SignedStream {
-    fn next_op(&mut self) -> Option<MpiOp> {
-        self.inner.next_op()
-    }
-
-    fn signature(&self) -> Option<StreamSignature> {
-        Some(self.sig)
-    }
 }
 
 /// An [`OpStream`] over a pre-built vector.

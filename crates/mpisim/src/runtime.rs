@@ -65,10 +65,6 @@ pub struct RunStats {
     pub wall_time: Time,
     /// Per-rank statistics.
     pub per_rank: Vec<RankStats>,
-    /// Whether the run executed on the collapsed rank-group path (see
-    /// [`crate::collapse`]). Telemetry only: collapse changes speed,
-    /// never `wall_time` or `per_rank`.
-    pub collapsed: bool,
 }
 
 impl RunStats {
@@ -215,7 +211,6 @@ struct CollState {
 /// The MPI runtime.
 pub struct Runtime {
     params: RuntimeParams,
-    collapse: bool,
 }
 
 impl Default for Runtime {
@@ -227,20 +222,7 @@ impl Default for Runtime {
 impl Runtime {
     /// A runtime with the given parameters.
     pub fn new(params: RuntimeParams) -> Runtime {
-        Runtime {
-            params,
-            collapse: true,
-        }
-    }
-
-    /// Enables or disables the collapsed execution of symmetric rank
-    /// cohorts (see [`crate::collapse`]; on by default). Collapse only
-    /// ever engages when machine, programs and placement all prove
-    /// symmetric, so disabling it changes speed, never results — the
-    /// bench harness uses this toggle to measure exactly that speedup.
-    pub fn with_collapse(mut self, enabled: bool) -> Runtime {
-        self.collapse = enabled;
-        self
+        Runtime { params }
     }
 
     /// Executes `programs` (one per rank) placed on `placement`
@@ -298,23 +280,6 @@ impl Runtime {
         }
         // The one question put to the sinks: does anyone observe this run?
         let observed = sink.observes() || simcore::obs::enabled();
-        if self.collapse {
-            let signatures: Vec<_> = programs.iter().map(|p| p.signature()).collect();
-            if let Some(cohorts) = crate::collapse::plan(&*machine, placement, &signatures) {
-                // Signed streams attest collapse-safety (no p2p, no rank
-                // divergence), so the collapsed executor can only abort.
-                return crate::collapse::run(
-                    &self.params,
-                    machine,
-                    placement,
-                    programs,
-                    cohorts,
-                    observed.then_some(sink),
-                    watchdog,
-                )
-                .map_err(RunError::Aborted);
-            }
-        }
         let world = programs.len();
         let mut exec = Exec {
             params: self.params.clone(),
@@ -375,7 +340,6 @@ impl Runtime {
         let mut stats = RunStats {
             wall_time: Time::ZERO,
             per_rank: Vec::with_capacity(world),
-            collapsed: false,
         };
         for ctx in &mut exec.ranks {
             ctx.stats.end = ctx.t;
@@ -1185,6 +1149,27 @@ mod tests {
     }
 
     #[test]
+    fn barrier_releases_after_ceil_log2_world_hops() {
+        let hop = RuntimeParams::default().barrier_hop;
+        let worlds = [1, 2, 3, 4, 5, 8, 9, 17];
+        for (world, hops) in worlds.into_iter().zip([1, 1, 2, 2, 3, 3, 4, 5]) {
+            // Rank r arrives after r microseconds of compute.
+            let arrival = |r: usize| Time::from_micros(r as u64);
+            let placement: Vec<NodeId> = (0..world).collect();
+            let programs = (0..world)
+                .map(|r| vec![MpiOp::Compute(arrival(r)), MpiOp::Barrier])
+                .collect();
+            let (stats, _) = run(&placement, programs);
+            let release = arrival(world - 1) + hop * hops;
+            assert_eq!(stats.wall_time, release, "world {world}");
+            for (r, s) in stats.per_rank.iter().enumerate() {
+                assert_eq!(s.end, release, "world {world} rank {r}");
+                assert_eq!(s.comm_time, release - arrival(r), "world {world} rank {r}");
+            }
+        }
+    }
+
+    #[test]
     fn independent_io_counts_in_stats() {
         let (stats, events) = run(
             &[0],
@@ -1203,6 +1188,7 @@ mod tests {
                     offset: 0,
                     len: 500,
                 },
+                MpiOp::FileSync { file: F },
                 MpiOp::FileClose { file: F },
             ]],
         );
@@ -1210,9 +1196,11 @@ mod tests {
         assert_eq!(s.bytes_written, 1000);
         assert_eq!(s.bytes_read, 500);
         assert_eq!(s.io_ops, 2);
-        assert!(s.io_time > Time::ZERO);
-        assert!(s.meta_time > Time::ZERO);
-        assert_eq!(events.len(), 4);
+        // FixedMachine: 50 us per op plus 10 ns per byte.
+        assert_eq!(s.io_time, Time::from_micros(60 + 55));
+        assert_eq!(s.meta_time, Time::from_micros(3 * 50));
+        assert_eq!(s.end, s.io_time + s.meta_time);
+        assert_eq!(events.len(), 5);
     }
 
     #[test]

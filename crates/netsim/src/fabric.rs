@@ -213,7 +213,7 @@ impl Fabric {
 /// per-frame RX chain collapses exactly: RX of frame 0 ends no earlier than
 /// TX of frame 1 (equal service), so every middle frame finds the RX link
 /// busy and queues directly behind its predecessor.
-pub(crate) fn pipeline(
+fn pipeline(
     tx: &mut FifoResource,
     rx: &mut FifoResource,
     t0: Time,

@@ -12,12 +12,7 @@
 //!   ([`TrafficClass`]): in a *shared* layout MPI traffic and storage traffic
 //!   contend on one fabric; in a *split* layout each class gets its own — the
 //!   configurable factor the paper varies ("number and type of network").
-//! * [`HierFabric`] — a rack/leaf-spine hierarchy for thousand-node
-//!   scale-out runs: stateful per-host edge links under a non-blocking
-//!   core, with closed-form fast paths gated by a fault horizon.
 
 pub mod fabric;
-pub mod hier;
 
 pub use fabric::{Fabric, FabricParams, LinkParams, NetMeter, Network, NodeId, Sent, TrafficClass};
-pub use hier::{HierFabric, HierParams, HierTopology};

@@ -386,9 +386,8 @@ pub trait ObsSink {
     fn event(&mut self, ev: &ObsEvent);
 
     /// Whether this sink observes anything at all. Only [`NoSink`] says
-    /// no, which lets producers skip building its events — in particular
-    /// the MPI runtime then executes a collapsed rank cohort in O(1) per
-    /// member instead of replaying every member's events.
+    /// no, which lets producers skip building its events: the MPI runtime
+    /// then builds no per-op event when no observer is installed either.
     fn observes(&self) -> bool {
         true
     }

@@ -48,15 +48,12 @@
 //! worker), and [`Variant::describe`] renders the resolved program
 //! byte-identically on every host. All randomness is resolved *per
 //! variant*, never per rank: every rank of a variant executes the same
-//! op shape, differing only in rank-indexed file offsets, which is
-//! exactly the contract [`mpisim::StreamSignature`] requires — so
-//! generated programs without collective I/O are signed and rank-group
-//! collapsing engages just as it does for the hand-coded workloads.
+//! op shape, differing only in rank-indexed file offsets.
 
 use crate::Scenario;
 use cluster::Mount;
 use fs::FileId;
-use mpisim::{ChunkedStream, MpiOp, OpStream, SignedStream, StreamSignature};
+use mpisim::{ChunkedStream, MpiOp, OpStream};
 use simcore::{seed_for, SplitMix64, Time};
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -443,7 +440,17 @@ impl Parser {
                     stride,
                 })
             }
-            "compute" => Ok(Rule::Compute(self.dist("compute microseconds")?)),
+            "compute" => {
+                let line = self.toks[self.pos - 1].line;
+                let micros = self.dist("compute microseconds")?;
+                if micros.max() > u64::MAX / 1_000 {
+                    return Err(GrammarError {
+                        line,
+                        message: "compute time beyond 2^64 ns".into(),
+                    });
+                }
+                Ok(Rule::Compute(micros))
+            }
             "barrier" => Ok(Rule::Barrier),
             "sync" => Ok(Rule::Sync(self.file_ref(files)?)),
             "loop" => {
@@ -486,19 +493,24 @@ impl Parser {
     }
 }
 
-/// Rejects a grammar whose variants could exceed [`MAX_RANK_OPS`].
-fn check_work(ranks: &Dist, ops_per_rank: u64, line: usize) -> Result<(), GrammarError> {
+/// Rejects a grammar whose variants could exceed [`MAX_RANK_OPS`] or
+/// [`MAX_EXTENT`].
+fn check_work(ranks: &Dist, ops_per_rank: u64, span: u64, line: usize) -> Result<(), GrammarError> {
     let (ranks, ops_per_rank) = (ranks.max(), ops_per_rank.max(1));
-    if ranks.saturating_mul(ops_per_rank) <= MAX_RANK_OPS {
-        return Ok(());
-    }
-    Err(GrammarError {
-        line,
-        message: format!(
+    let message = if ranks.saturating_mul(ops_per_rank) > MAX_RANK_OPS {
+        format!(
             "workload too large: up to {ranks} ranks x {ops_per_rank} ops per rank \
              exceeds the ceiling of {MAX_RANK_OPS} rank-ops"
-        ),
-    })
+        )
+    } else if ranks.saturating_mul(span) > MAX_EXTENT {
+        format!(
+            "files too large: up to {ranks} ranks x {span} bytes per rank \
+             exceeds the ceiling of {MAX_EXTENT} bytes"
+        )
+    } else {
+        return Ok(());
+    };
+    Err(GrammarError { line, message })
 }
 
 /// Ceiling on the work one variant may describe: ranks × MPI ops per rank,
@@ -507,6 +519,13 @@ fn check_work(ranks: &Dist, ops_per_rank: u64, line: usize) -> Result<(), Gramma
 /// program), so a grammar over this ceiling is rejected with a
 /// [`GrammarError`] rather than exhausting memory when sampled or run.
 pub const MAX_RANK_OPS: u64 = 1 << 22;
+
+/// Ceiling on the bytes one variant's files may span: ranks × the bytes
+/// each rank's I/O rules move its file cursors by, bounded at parse time
+/// like [`MAX_RANK_OPS`]. Every offset a program issues, and every offset
+/// plus length, then stays far from `u64` overflow, in the generator and
+/// in the filesystems below it.
+pub const MAX_EXTENT: u64 = 1 << 50;
 
 /// Upper bound on the MPI ops one execution of `rules` issues per rank:
 /// an I/O rule issues up to its largest `count`, every other step one op,
@@ -526,6 +545,30 @@ fn max_ops(rules: &[Rule]) -> u64 {
     })
 }
 
+/// Upper bound on the bytes one execution of `rules` moves a rank's file
+/// cursors by, summed over files: an I/O rule moves its cursor by up to
+/// its largest `count × stride × block`, branches take their largest arm,
+/// and loops multiply. Saturates like [`max_ops`].
+fn max_span(rules: &[Rule]) -> u64 {
+    rules.iter().fold(0u64, |acc, rule| {
+        let span = match rule {
+            Rule::Io {
+                block,
+                count,
+                stride,
+                ..
+            } => count
+                .max()
+                .saturating_mul(stride.max())
+                .saturating_mul(block.max()),
+            Rule::Compute(_) | Rule::Barrier | Rule::Sync(_) => 0,
+            Rule::Loop { count, body } => count.max().saturating_mul(max_span(body)),
+            Rule::Choose { arms } => arms.iter().map(|(_, b)| max_span(b)).max().unwrap_or(0),
+        };
+        acc.saturating_add(span)
+    })
+}
+
 impl Grammar {
     /// Parses a grammar from its text form.
     pub fn parse(src: &str) -> Result<Grammar, GrammarError> {
@@ -537,9 +580,9 @@ impl Grammar {
         let mut ranks = Dist::Fixed(1);
         let mut files: Vec<FileDecl> = Vec::new();
         let mut phases: Vec<PhaseRule> = Vec::new();
-        // Ops per rank so far: each file adds at most an open, a sync and
-        // a close around the phases.
-        let mut ops = 0u64;
+        // Ops per rank so far (each file adds at most an open, a sync and
+        // a close around the phases), and bytes its file cursors moved.
+        let (mut ops, mut span) = (0u64, 0u64);
         while let Some(kw) = p.peek() {
             // The line of the directive that pushes the bound over the
             // ceiling is the one the error names.
@@ -552,7 +595,7 @@ impl Grammar {
                 "ranks" => {
                     p.pos += 1;
                     ranks = p.dist("ranks")?;
-                    check_work(&ranks, ops, line)?;
+                    check_work(&ranks, ops, span, line)?;
                 }
                 "file" => {
                     p.pos += 1;
@@ -579,7 +622,7 @@ impl Grammar {
                     };
                     files.push(FileDecl { name: fname, mount });
                     ops = ops.saturating_add(3);
-                    check_work(&ranks, ops, line)?;
+                    check_work(&ranks, ops, span, line)?;
                 }
                 "phase" => {
                     p.pos += 1;
@@ -592,7 +635,8 @@ impl Grammar {
                     };
                     let body = p.block(&files)?;
                     ops = ops.saturating_add(repeat.max().saturating_mul(max_ops(&body).max(1)));
-                    check_work(&ranks, ops, line)?;
+                    span = span.saturating_add(repeat.max().saturating_mul(max_span(&body)));
+                    check_work(&ranks, ops, span, line)?;
                     phases.push(PhaseRule {
                         name: pname,
                         repeat,
@@ -859,22 +903,6 @@ impl Variant {
         used + body + syncs + used
     }
 
-    /// Whether every rank program can carry a [`StreamSignature`]:
-    /// collective I/O releases ranks through shared state the collapsed
-    /// executor cannot model, so only purely independent variants sign
-    /// (the same rule the hand-coded IOR workload applies).
-    pub fn signable(&self) -> bool {
-        !self.steps.iter().any(|s| {
-            matches!(
-                s,
-                Step::Io {
-                    collective: true,
-                    ..
-                }
-            )
-        })
-    }
-
     /// Compiles the variant to a runnable [`Scenario`].
     pub fn scenario(&self) -> Scenario {
         let mounts = self
@@ -905,7 +933,7 @@ impl Variant {
         let steps = Arc::clone(&self.steps);
         let files = Arc::clone(&self.files);
         let nchunks = steps.len() + 2;
-        let stream = ChunkedStream::new(nchunks, move |i| {
+        Box::new(ChunkedStream::new(nchunks, move |i| {
             if i == 0 {
                 return files
                     .iter()
@@ -976,20 +1004,7 @@ impl Variant {
                     file: files[*fi].id,
                 }],
             }
-        });
-        if self.signable() {
-            // The shape string pins the full resolved program, so distinct
-            // variants can never share a cohort; ranks of one variant
-            // differ only by rank-indexed offsets, which the contract
-            // explicitly allows.
-            let sig = StreamSignature::from_shape(
-                &format!("grammar|{:016x}|{}", self.digest, self.ranks),
-                self.ops_per_rank(),
-            );
-            Box::new(SignedStream::new(Box::new(stream), sig))
-        } else {
-            Box::new(stream)
-        }
+        }))
     }
 }
 
@@ -1060,6 +1075,28 @@ mod tests {
         // Empty bodies are walked too.
         let empty = "scenario s\nphase p repeat 4000000000 { loop 2 { } }";
         assert_eq!(Grammar::parse(empty).expect_err("8G iterations").line, 2);
+    }
+
+    #[test]
+    fn file_extents_and_compute_times_are_bounded_at_parse_time() {
+        // 4 ranks x 256 TiB per rank is the ceiling; one byte more is not.
+        let at_ceiling = "scenario s\nranks 4\nfile f\nphase p { write f block 256G count 1024 }";
+        assert!(Grammar::parse(at_ceiling).is_ok());
+        let over =
+            "scenario s\nranks 4\nfile f\nphase p {\n write f block 256G count 1024 stride 1|2\n}";
+        let err = Grammar::parse(over).expect_err("over the extent ceiling");
+        assert_eq!(err.line, 4);
+        assert!(err.message.contains("files too large"), "{err}");
+        // A rank count after the phases is checked against them too.
+        let late = "scenario s\nfile f\nphase p { read f block 1G count 1048576 }\nranks 2";
+        assert_eq!(Grammar::parse(late).expect_err("2 PiB").line, 4);
+        let max = u64::MAX / 1_000;
+        let ok = format!("scenario s\nphase p {{ compute {max} }}");
+        assert!(Grammar::parse(&ok).is_ok());
+        let over = format!("scenario s\nphase p {{\n compute 1..{}\n}}", max + 1);
+        let err = Grammar::parse(&over).expect_err("compute beyond Time");
+        assert_eq!(err.line, 3);
+        assert!(err.message.contains("compute time"), "{err}");
     }
 
     #[test]
@@ -1177,31 +1214,20 @@ mod tests {
     }
 
     #[test]
-    fn independent_variants_are_signed_and_op_counts_match() {
-        let g = Grammar::parse(EXAMPLE).unwrap();
-        let v = g.variant(5, 0);
-        assert!(v.signable(), "example has no collective I/O");
-        let scenario = v.scenario();
-        for mut prog in scenario.programs {
-            assert!(prog.signature().is_some(), "programs must be signed");
-            let mut n = 0u64;
-            while prog.next_op().is_some() {
-                n += 1;
-            }
-            assert_eq!(n, v.ops_per_rank(), "signature op count must be exact");
-        }
-    }
-
-    #[test]
-    fn collective_variants_stay_unsigned() {
-        let g =
+    fn every_rank_runs_exactly_ops_per_rank_ops() {
+        let independent = Grammar::parse(EXAMPLE).unwrap().variant(5, 0);
+        let collective =
             Grammar::parse("scenario c\nfile f\nphase p { write f block 1M count 2 collective }")
-                .unwrap();
-        let v = g.variant(5, 0);
-        assert!(!v.signable());
-        let scenario = v.scenario();
-        for prog in &scenario.programs {
-            assert!(prog.signature().is_none());
+                .unwrap()
+                .variant(5, 0);
+        for v in [independent, collective] {
+            for mut prog in v.scenario().programs {
+                let mut n = 0u64;
+                while prog.next_op().is_some() {
+                    n += 1;
+                }
+                assert_eq!(n, v.ops_per_rank(), "{}: op count must be exact", v.label);
+            }
         }
     }
 

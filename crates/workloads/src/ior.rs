@@ -107,29 +107,12 @@ impl Ior {
             } else {
                 vec![MpiOp::FileClose { file }]
             };
-            let total_ops = 1 + n as u64 + tail_ops.len() as u64;
             let tail = VecStream::new(tail_ops);
-            let chained: Box<dyn mpisim::OpStream> = Box::new(ChainStream::new(vec![
+            programs.push(Box::new(ChainStream::new(vec![
                 Box::new(head),
                 Box::new(body),
                 Box::new(tail),
-            ]));
-            programs.push(if collective {
-                chained
-            } else {
-                // Independent-I/O IOR is rank-symmetric: every rank runs
-                // the same open/transfer/sync/close sequence and only the
-                // offsets are rank-indexed — exactly the contract of a
-                // stream signature, so symmetric runs may collapse.
-                let sig = mpisim::StreamSignature::from_shape(
-                    &format!(
-                        "ior|{:?}|{:?}|{}|{}|{}",
-                        self.op, self.file, self.block, self.transfer, is_write
-                    ),
-                    total_ops,
-                );
-                Box::new(mpisim::SignedStream::new(chained, sig))
-            });
+            ])));
         }
         Scenario {
             name: format!(

@@ -95,3 +95,223 @@ proptest! {
         prop_assert_eq!(shared_files.len(), 1);
     }
 }
+
+/// Grammars that exercise every rule, distribution form and file mount,
+/// as seeds for mutation.
+const GRAMMARS: [&str; 2] = [
+    workloads::grammar::EXAMPLE,
+    "\
+scenario wide
+ranks 2..4
+file a on nfs
+file b on local
+phase p repeat 2 {
+  loop 1|2 {
+    read a block 4096..65536 pow2 count 2..3 stride 1|3
+    choose 2 { write b block 1K count 2 collective } or { barrier }
+  }
+  compute 10
+  sync b
+}
+",
+];
+
+/// Tokens a grammar is made of, for text that is nearly a grammar; a
+/// line break is one more.
+const TOKENS: &str = "scenario ranks file on nfs local phase repeat { } write read block \
+    count stride collective compute barrier sync loop choose or pow2 a 0 1 3 1..4 2|8 64K \
+    18446744073709551615";
+
+/// Any one of [`TOKENS`].
+fn token() -> impl Strategy<Value = &'static str> {
+    let tokens: Vec<&'static str> = TOKENS.split_whitespace().chain(["\n"]).collect();
+    (0..tokens.len()).prop_map(move |i| tokens[i])
+}
+
+/// Values a number of a grammar is set to: `u64::MAX` and one past it,
+/// powers of two that overflow once multiplied, zero and an inverted
+/// range.
+const EXTREMES: [&str; 6] = [
+    "18446744073709551615",
+    "18446744073709551616",
+    "9223372036854775808",
+    "4294967296",
+    "0",
+    "4..2",
+];
+
+/// One edit of a grammar's text.
+#[derive(Clone, Debug)]
+enum Mutation {
+    /// The `n`-th number (mod their count), size suffix and all, becomes
+    /// `by`.
+    Number(usize, &'static str),
+    /// Line `n` appears twice.
+    DuplicateLine(usize),
+    /// Line `n` goes.
+    DropLine(usize),
+    /// A token goes in before byte `n` (rounded down to a char boundary).
+    Insert(usize, &'static str),
+}
+
+fn mutation() -> impl Strategy<Value = Mutation> {
+    prop_oneof![
+        (any::<usize>(), 0..EXTREMES.len()).prop_map(|(n, i)| Mutation::Number(n, EXTREMES[i])),
+        (any::<usize>(), Just(EXTREMES[0])).prop_map(|(n, by)| Mutation::Number(n, by)),
+        any::<usize>().prop_map(Mutation::DuplicateLine),
+        any::<usize>().prop_map(Mutation::DropLine),
+        (any::<usize>(), token()).prop_map(|(n, t)| Mutation::Insert(n, t)),
+    ]
+}
+
+/// The byte ranges of the numbers in `src`, each with its size suffix.
+fn numbers(src: &str) -> Vec<(usize, usize)> {
+    let b = src.as_bytes();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < b.len() {
+        if b[i].is_ascii_digit() {
+            let start = i;
+            while i < b.len() && b[i].is_ascii_digit() {
+                i += 1;
+            }
+            if i < b.len() && b"KMGkmg".contains(&b[i]) {
+                i += 1;
+            }
+            out.push((start, i));
+        } else {
+            i += 1;
+        }
+    }
+    out
+}
+
+/// `src` with `m` applied.
+fn mutate(src: &str, m: &Mutation) -> String {
+    let mut lines: Vec<&str> = src.lines().collect();
+    let line = |n: usize| n % lines.len().max(1);
+    match *m {
+        Mutation::Number(n, by) => {
+            let spans = numbers(src);
+            match spans.get(n % spans.len().max(1)) {
+                Some(&(a, b)) => format!("{}{by}{}", &src[..a], &src[b..]),
+                None => src.to_string(),
+            }
+        }
+        Mutation::DuplicateLine(n) if !lines.is_empty() => {
+            let at = line(n);
+            lines.insert(at, lines[at]);
+            lines.join("\n")
+        }
+        Mutation::DropLine(n) if !lines.is_empty() => {
+            lines.remove(line(n));
+            lines.join("\n")
+        }
+        Mutation::Insert(n, token) => {
+            let mut at = n % (src.len() + 1);
+            while !src.is_char_boundary(at) {
+                at -= 1;
+            }
+            format!("{} {token} {}", &src[..at], &src[at..])
+        }
+        Mutation::DuplicateLine(_) | Mutation::DropLine(_) => src.to_string(),
+    }
+}
+
+/// Parses `src` and, when it parses, runs its first `variants` variants
+/// under `seed` through `scenario` and pulls every op of every rank:
+/// parsing must reject the text with a `GrammarError` or yield programs
+/// within `MAX_RANK_OPS` rank-ops, each rank issuing exactly
+/// `ops_per_rank` ops. Nothing may panic on the way.
+fn check_grammar(src: &str, seed: u64, variants: usize) -> Result<(), TestCaseError> {
+    let Ok(g) = workloads::Grammar::parse(src) else {
+        return Ok(());
+    };
+    for index in 0..variants {
+        let v = g.variant(seed, index);
+        let mut rank_ops = 0u64;
+        for mut program in v.scenario().programs {
+            let mut ops = 0u64;
+            while program.next_op().is_some() {
+                ops += 1;
+            }
+            prop_assert_eq!(ops, v.ops_per_rank(), "{}", v.label);
+            rank_ops += ops;
+        }
+        prop_assert!(
+            rank_ops <= workloads::grammar::MAX_RANK_OPS,
+            "{}: {rank_ops} rank-ops from {src:?}",
+            v.label
+        );
+    }
+    Ok(())
+}
+
+/// Every number of every seed grammar, set to each extreme value in turn.
+#[test]
+fn every_number_at_an_extreme_is_an_error_or_a_bounded_program() {
+    for src in GRAMMARS {
+        for n in 0..numbers(src).len() {
+            for by in EXTREMES {
+                let mutated = mutate(src, &Mutation::Number(n, by));
+                if let Err(TestCaseError::Fail(why)) = check_grammar(&mutated, 7, 8) {
+                    panic!("{why}");
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Arbitrary text, mostly printable ASCII and line breaks, never
+    /// panics the grammar pipeline.
+    #[test]
+    fn arbitrary_text_is_an_error_or_a_bounded_program(
+        words in proptest::collection::vec(any::<u32>(), 0..200),
+        seed in any::<u64>(),
+    ) {
+        let src: String = words
+            .iter()
+            .map(|&w| match w % 8 {
+                0 => char::from_u32(w >> 3).unwrap_or(char::REPLACEMENT_CHARACTER),
+                1 => '\n',
+                _ => char::from(b' ' + (w >> 3) as u8 % 95),
+            })
+            .collect();
+        check_grammar(&src, seed, 2)?;
+    }
+
+    /// Nor does text made of grammar tokens in any order, which parses
+    /// further.
+    #[test]
+    fn token_soup_is_an_error_or_a_bounded_program(
+        tokens in proptest::collection::vec(token(), 0..60),
+        seed in any::<u64>(),
+    ) {
+        check_grammar(&format!("scenario s\n{}", tokens.join(" ")), seed, 2)?;
+    }
+
+    /// Nor does a grammar edited and then cut short anywhere: numbers set
+    /// to `u64::MAX` or other extremes, lines duplicated or dropped,
+    /// tokens inserted.
+    #[test]
+    fn truncated_and_mutated_grammars_are_an_error_or_a_bounded_program(
+        base in 0..GRAMMARS.len(),
+        cut in any::<usize>(),
+        mutations in proptest::collection::vec(mutation(), 0..4),
+        seed in any::<u64>(),
+    ) {
+        let mut src = GRAMMARS[base].to_string();
+        for m in &mutations {
+            src = mutate(&src, m);
+        }
+        check_grammar(&src, seed, 2)?;
+        let mut at = cut % (src.len() + 1);
+        while !src.is_char_boundary(at) {
+            at -= 1;
+        }
+        check_grammar(&src[..at], seed, 2)?;
+    }
+}
