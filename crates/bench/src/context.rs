@@ -75,8 +75,9 @@ impl PfsFaultProfile {
 
 /// Experiment context: clusters, configurations, and one result [`Store`]
 /// shared between related experiments (Tables II/III/IV and Figs. 8/12
-/// reuse the same BT-IO runs, Table VIII and Fig. 18 the same MADbench2
-/// runs, exactly like the paper).
+/// reuse the same BT-IO runs, the `campaign` experiment's cells replay
+/// Fig. 12's, Table VIII and Fig. 18 share the same MADbench2 runs,
+/// exactly like the paper).
 ///
 /// Every stored result is keyed by the inputs that shape it, so changing
 /// the scale, watchdog, PFS profile or scenario grid never replays a stale
@@ -411,11 +412,27 @@ impl Repro {
         self.eval_under(spec, config, workload, FaultScenario::Healthy)
     }
 
-    /// Memoized evaluation under a fault scenario. The store key is every
-    /// input of the run — scale, cluster, configuration, the workload
-    /// value itself, faults and watchdog — so the same workload can be
-    /// compared healthy vs degraded vs rebuilding without re-running
-    /// either, and two experiments asking for the same run share it.
+    /// The store key of one evaluation: every input of the run — scale,
+    /// cluster, configuration, the workload value itself, faults and
+    /// watchdog. [`Repro::eval_under`] stores its reports under it, and
+    /// campaign cells look the same runs up by it.
+    pub fn report_key(
+        &self,
+        spec: &ClusterSpec,
+        config: &IoConfig,
+        workload: &impl Debug,
+        faults: &FaultScenario,
+    ) -> Key {
+        Key::of(
+            Kind::Report,
+            &(self.scale, spec, config, workload, faults, &self.watchdog),
+        )
+    }
+
+    /// Memoized evaluation under a fault scenario, stored under
+    /// [`Repro::report_key`], so the same workload can be compared healthy
+    /// vs degraded vs rebuilding without re-running either, and two
+    /// experiments asking for the same run share it.
     pub fn eval_under(
         &mut self,
         spec: &ClusterSpec,
@@ -423,10 +440,7 @@ impl Repro {
         workload: &(impl Workload + Debug),
         faults: FaultScenario,
     ) -> EvalReport {
-        let store_key = Key::of(
-            Kind::Report,
-            &(self.scale, spec, config, workload, &faults, &self.watchdog),
-        );
+        let store_key = self.report_key(spec, config, workload, &faults);
         if let Some(r) = self.store.get(store_key) {
             return r;
         }

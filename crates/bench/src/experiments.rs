@@ -2,7 +2,7 @@
 
 use crate::context::Repro;
 use cluster::ClusterSpec;
-use ioeval_core::eval::EvalReport;
+use ioeval_core::eval::{EvalReport, FaultScenario};
 use ioeval_core::perf_table::{AccessMode, IoLevel, OpType, PerfTableSet};
 use ioeval_core::report::{
     render_app_profile, render_metrics, render_phase_timeline, render_usage_matrix, TextTable,
@@ -785,7 +785,6 @@ pub fn advisor(r: &mut Repro) -> String {
 pub fn resilience(r: &mut Repro) -> String {
     use crate::context::PfsFaultProfile;
     use cluster::{IoConfigBuilder, Mount};
-    use ioeval_core::eval::FaultScenario;
     use ioeval_core::report::render_resilience_table;
     use simcore::{Time, MIB};
     use workloads::{Ior, IorOp};
@@ -878,9 +877,10 @@ pub fn resilience(r: &mut Repro) -> String {
 /// checkpoint directory attached (`repro --checkpoint DIR`), every
 /// finished characterization and cell persists to disk as it completes,
 /// so a killed run resumes from the last finished cell and renders
-/// byte-identically to an uninterrupted one.
+/// byte-identically to an uninterrupted one. A cell whose healthy run is
+/// already in the store (after `fig12`) replays it instead of simulating.
 pub fn campaign(r: &mut Repro) -> String {
-    use ioeval_core::campaign::{run_campaign_supervised, AppFactory};
+    use ioeval_core::campaign::{run_campaign_keyed, AppFactory};
     let spec = r.aohyper();
     let configs = r.aohyper_configs();
     let opts = r.charact_options(&spec);
@@ -888,7 +888,13 @@ pub fn campaign(r: &mut Repro) -> String {
     let full = r.btio(16, BtSubtype::Full);
     let simple = r.btio(16, BtSubtype::Simple);
     let apps: Vec<AppFactory> = vec![("btio-full-16p", &full), ("btio-simple-16p", &simple)];
-    let campaign = run_campaign_supervised(&spec, &configs, &apps, &opts, &sup, r.store());
+    // Fig. 12 runs these six cells; each replays its stored healthy report.
+    let reports: Vec<_> = [&full, &simple]
+        .into_iter()
+        .flat_map(|bt| configs.iter().map(move |c| (bt, c)))
+        .map(|(bt, c)| r.report_key(&spec, c, bt, &FaultScenario::Healthy))
+        .collect();
+    let campaign = run_campaign_keyed(&spec, &configs, &apps, &opts, &sup, r.store(), &reports);
     format!(
         "Campaign — supervised methodology run (paper Fig. 1 end to end):\n\n{}",
         campaign.render()

@@ -11,13 +11,20 @@
 
 use bench::experiments::registry;
 use bench::{Repro, Scale};
+use ioeval_core::store::Kind;
 
 #[test]
 #[ignore = "runs the whole quick-scale harness (~4 s in release)"]
 fn every_experiment_runs_at_quick_scale() {
     let mut repro = Repro::new(Scale::Quick);
     for (id, _desc, f) in registry() {
+        let before = repro.store().kind_stats(Kind::Report);
         let out = f(&mut repro);
+        if id == "campaign" {
+            // Its six cells are fig12's runs, replayed from the store.
+            let (hits, misses) = repro.store().kind_stats(Kind::Report);
+            assert_eq!((hits - before.0, misses - before.1), (6, 0));
+        }
         assert!(
             out.len() > 100,
             "experiment {id} produced suspiciously little output:\n{out}"
@@ -27,6 +34,9 @@ fn every_experiment_runs_at_quick_scale() {
             "experiment {id} produced non-finite numbers"
         );
     }
+    // Each distinct evaluation is simulated once: one miss per report key.
+    let (_, misses) = repro.store().kind_stats(Kind::Report);
+    assert_eq!(misses, repro.store().kind_len(Kind::Report) as u64);
 }
 
 #[test]

@@ -17,6 +17,12 @@ use simcore::{KIB, MIB};
 use std::time::Instant;
 use workloads::{BtClass, BtIo, BtSubtype, FileType, MadBench};
 
+/// BT-IO dumps and MADbench2 kilopixels per cell: enough simulated work
+/// that one jobs=1 leg takes over 0.3 s in release, so host noise of a few
+/// milliseconds cannot decide the speedup gate.
+const DUMPS: usize = 32;
+const KPIX: u64 = 8;
+
 fn charact_opts() -> CharacterizeOptions {
     let mut o = CharacterizeOptions::quick();
     o.records = vec![64 * KIB, MIB];
@@ -32,19 +38,27 @@ fn timed_campaign(jobs: usize) -> (String, f64) {
     let spec = presets::aohyper();
     let configs = ioconfig::aohyper_configs();
     let bt_full = || {
-        BtIo::new(BtClass::S, 4, BtSubtype::Full)
-            .with_dumps(6)
+        BtIo::new(BtClass::A, 4, BtSubtype::Full)
+            .with_dumps(DUMPS)
             .gflops(20.0)
             .scenario()
     };
     let bt_simple = || {
-        BtIo::new(BtClass::S, 4, BtSubtype::Simple)
-            .with_dumps(3)
+        BtIo::new(BtClass::A, 4, BtSubtype::Simple)
+            .with_dumps(DUMPS)
             .gflops(20.0)
             .scenario()
     };
-    let mb_unique = || MadBench::new(4, FileType::Unique).with_kpix(2).scenario();
-    let mb_shared = || MadBench::new(4, FileType::Shared).with_kpix(2).scenario();
+    let mb_unique = || {
+        MadBench::new(4, FileType::Unique)
+            .with_kpix(KPIX)
+            .scenario()
+    };
+    let mb_shared = || {
+        MadBench::new(4, FileType::Shared)
+            .with_kpix(KPIX)
+            .scenario()
+    };
     let apps: Vec<AppFactory> = vec![
         ("btio-full", &bt_full),
         ("btio-simple", &bt_simple),
@@ -67,16 +81,32 @@ fn timed_campaign(jobs: usize) -> (String, f64) {
     (campaign.render(), elapsed)
 }
 
+/// The fastest of three legs at each worker count, the legs alternating
+/// between the two so a burst of host contention slows both sides alike;
+/// returns (jobs=1 render, jobs=1 seconds, jobs=4 render, jobs=4 seconds).
+fn fastest_legs() -> (String, f64, String, f64) {
+    let (mut seq, mut par) = ((String::new(), f64::MAX), (String::new(), f64::MAX));
+    for _ in 0..3 {
+        for (jobs, best) in [(1, &mut seq), (4, &mut par)] {
+            let (render, secs) = timed_campaign(jobs);
+            println!("jobs={jobs}: {secs:.3}s");
+            if secs < best.1 {
+                *best = (render, secs);
+            }
+        }
+    }
+    (seq.0, seq.1, par.0, par.1)
+}
+
 #[test]
 #[ignore = "timing measurement; run in release mode with --ignored"]
 fn four_workers_beat_one_on_a_twelve_cell_campaign() {
     // Warm-up run so page cache / lazy init don't skew the sequential leg.
     let _ = timed_campaign(1);
-    let (seq_render, seq_secs) = timed_campaign(1);
-    let (par_render, par_secs) = timed_campaign(4);
+    let (seq_render, seq_secs, par_render, par_secs) = fastest_legs();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "cores={cores}  jobs=1: {seq_secs:.2}s  jobs=4: {par_secs:.2}s  speedup: {:.2}x",
+        "cores={cores}  fastest jobs=1: {seq_secs:.2}s  jobs=4: {par_secs:.2}s  speedup: {:.2}x",
         seq_secs / par_secs
     );
     assert_eq!(seq_render, par_render, "speedup must not change results");

@@ -204,10 +204,18 @@ fn a_failed_trace_export_is_reported_and_exits_0() {
 #[test]
 fn an_oversized_grammar_exits_2_with_its_line() {
     let work = scratch("grammar");
-    for (i, src) in [
-        "scenario s\nranks 99999999999\nphase p { barrier }\n",
-        "scenario s\nphase p repeat 4000000000 { barrier }\n",
-        "scenario s\nphase p { choose 18446744073709551615 { barrier } or 1 { barrier } }\n",
+    for (i, (src, line)) in [
+        ("scenario s\nranks 99999999999\nphase p { barrier }\n", 2),
+        ("scenario s\nphase p repeat 4000000000 { barrier }\n", 2),
+        (
+            "scenario s\nphase p { choose 18446744073709551615 { barrier } or 1 { barrier } }\n",
+            2,
+        ),
+        (
+            "scenario big\nranks 2\nfile f\n\
+             phase p repeat 3 { compute 18446744073709551 write f block 1M count 1 }\n",
+            4,
+        ),
     ]
     .into_iter()
     .enumerate()
@@ -217,7 +225,7 @@ fn an_oversized_grammar_exits_2_with_its_line() {
         let out = repro(&["--grammar", path(&file), "table1"]);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{src}: {stderr}");
-        assert!(stderr.contains("line 2"), "{src}: {stderr}");
+        assert!(stderr.contains(&format!("line {line}")), "{src}: {stderr}");
         assert!(out.stdout.is_empty(), "no experiment may run");
     }
     let _ = fs::remove_dir_all(&work);

@@ -28,7 +28,7 @@ use crate::store::{Key, Kind, Store, StoreHealth};
 use crate::supervise::run_isolated;
 use cluster::{ClusterSpec, IoConfig};
 use serde::{Deserialize, Serialize};
-use simcore::chaos::{is_host_fault_panic, ChaosSite, HostFaults};
+use simcore::chaos::{is_host_fault_panic, ChaosSite};
 use simcore::{Abort, WatchdogSpec};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -615,6 +615,11 @@ fn for_each_cell(total: usize, jobs: usize, work: &(impl Fn(usize) + Sync)) {
 /// panic retry) to a [`CellOutcome`]. Pure with respect to campaign state:
 /// workers call this concurrently, each constructing its own
 /// `ClusterMachine` inside [`evaluate`] (machines are not `Sync`).
+///
+/// A keyed cell (`report` is `Some`) first looks its healthy report up in
+/// `store` and simulates only on a miss. The lookup sits after the
+/// `WorkerPanic` chaos point, so an injected panic and its invisible retry
+/// play out the same whether the cell replays or simulates.
 #[allow(clippy::too_many_arguments)]
 fn evaluate_cell(
     spec: &ClusterSpec,
@@ -622,7 +627,8 @@ fn evaluate_cell(
     workload: &dyn Workload,
     tset: &PerfTableSet,
     sup: &SuperviseOptions,
-    faults: Option<&HostFaults>,
+    store: &Store,
+    report: Option<Key>,
     app: &str,
     cfg: &str,
 ) -> CellOutcome {
@@ -642,16 +648,20 @@ fn evaluate_cell(
             run_isolated(|| {
                 // Chaos cell boundary: the store's armed host faults may kill
                 // this worker here, exactly as a crashed worker thread would.
-                if let Some(faults) = faults {
+                if let Some(faults) = store.host_faults() {
                     faults.panic_point(ChaosSite::WorkerPanic);
                 }
-                evaluate(spec, config, workload.scenario(), tset, &eopts)
+                if let Some(stored) = report.and_then(|k| store.get::<EvalReport>(k)) {
+                    return Ok((stored, true));
+                }
+                evaluate(spec, config, workload.scenario(), tset, &eopts).map(|r| (r, false))
             })
         };
         let observed = collector.as_ref().map(|c| c.take());
         match result {
-            Ok(Ok(report)) => {
-                if let (Some(hub), Some(data)) = (&sup.metrics, observed) {
+            Ok(Ok((report, replayed))) => {
+                // A replayed run was observed where it was simulated.
+                if let (false, Some(hub), Some(data)) = (replayed, &sup.metrics, observed) {
                     hub.add(format!("{app}::{cfg}"), data.metrics);
                 }
                 let prediction = predict(&report.profile, tset);
@@ -767,6 +777,30 @@ pub fn run_campaign_supervised(
     sup: &SuperviseOptions,
     store: &Store,
 ) -> Campaign {
+    run_campaign_keyed(spec, configs, apps, opts, sup, store, &[])
+}
+
+/// [`run_campaign_supervised`] whose cells may replay healthy reports that
+/// other runs already stored. `reports` is empty, or holds one
+/// [`Kind::Report`] key per cell, application-major: the key under which
+/// the healthy evaluation of that (application, configuration) pair is
+/// stored. A keyed cell that finds its report renders it exactly as if it
+/// had simulated it; one that misses simulates. Campaigns read reports but
+/// never write them, so every run another experiment traces is still
+/// simulated, and traced, by that experiment.
+pub fn run_campaign_keyed(
+    spec: &ClusterSpec,
+    configs: &[IoConfig],
+    apps: &[AppFactory<'_>],
+    opts: &CharacterizeOptions,
+    sup: &SuperviseOptions,
+    store: &Store,
+    reports: &[Key],
+) -> Campaign {
+    assert!(
+        reports.is_empty() || reports.len() == apps.len() * configs.len(),
+        "one report key per cell, or none"
+    );
     let mut copts = opts.clone();
     if copts.watchdog.is_none() {
         copts.watchdog = sup.watchdog.clone();
@@ -836,7 +870,6 @@ pub fn run_campaign_supervised(
     let merger = CellMerger::new(&app_names, &config_names, quarantined, QUARANTINE_AFTER);
     let total = merger.total();
     let merger = Mutex::new(merger);
-    let faults = store.host_faults();
     for_each_cell(total, sup.jobs, &|idx| {
         let (ai, ci) = (idx / configs.len(), idx % configs.len());
         let (app, workload) = apps[ai];
@@ -857,8 +890,11 @@ pub fn run_campaign_supervised(
                 None => {
                     let tset =
                         &tables[table_of[ci].expect("non-quarantined configs are characterized")];
+                    let report = reports.get(idx).copied();
                     CellAttempt::Ran {
-                        outcome: evaluate_cell(spec, config, workload, tset, sup, faults, app, cfg),
+                        outcome: evaluate_cell(
+                            spec, config, workload, tset, sup, store, report, app, cfg,
+                        ),
                         from_store: false,
                     }
                 }
@@ -897,6 +933,7 @@ mod tests {
     use super::*;
     use cluster::{presets, DeviceLayout, IoConfigBuilder};
     use mpisim::{MpiOp, OpStream};
+    use simcore::chaos::{ChaosAction, HostFaultPlan};
     use simcore::KIB;
     use workloads::{BtClass, BtIo, BtSubtype, Scenario};
 
@@ -1259,6 +1296,120 @@ mod tests {
         let seq = run(1);
         assert!(seq.contains("I/O Lib"), "{seq}");
         assert_eq!(seq, run(4), "metrics aggregate must not depend on jobs");
+    }
+
+    /// Evaluates `bt_scenario` healthy on every configuration that
+    /// characterizes through `store`, as an experiment would before a
+    /// campaign, and stores each report under a key of its own. Returns
+    /// the keys, in config order.
+    fn stored_reports(spec: &ClusterSpec, configs: &[IoConfig], store: &Store) -> Vec<Key> {
+        let opts = CharacterizeOptions::quick();
+        let eopts = EvalOptions::default();
+        configs
+            .iter()
+            .map(|config| {
+                let key = Key::of(Kind::Report, &("btio-full", config));
+                if let Ok(tset) = characterize_system_memo(spec, config, &opts, store) {
+                    let report = evaluate(spec, config, bt_scenario(), &tset, &eopts).unwrap();
+                    store.put(key, &report);
+                }
+                key
+            })
+            .collect()
+    }
+
+    #[test]
+    fn keyed_cells_replay_stored_reports_byte_identically() {
+        let spec = presets::test_cluster();
+        let configs = quick_configs();
+        let bt = bt_scenario;
+        let apps: Vec<AppFactory> = vec![("btio-full", &bt)];
+        let opts = CharacterizeOptions::quick();
+        let unkeyed = quick_campaign().render();
+
+        let store = Store::memory();
+        let keys = stored_reports(&spec, &configs, &store);
+        let hub = Arc::new(crate::obs::MetricsHub::new());
+        let sup = SuperviseOptions {
+            metrics: Some(hub.clone()),
+            ..SuperviseOptions::default()
+        };
+        for jobs in [1, 2] {
+            let before = store.kind_stats(Kind::Report);
+            let sup = sup.clone().with_jobs(jobs);
+            let c = run_campaign_keyed(&spec, &configs, &apps, &opts, &sup, &store, &keys);
+            assert_eq!(
+                c.render(),
+                unkeyed,
+                "jobs={jobs}: a replay renders as a run"
+            );
+            let (hits, misses) = store.kind_stats(Kind::Report);
+            assert_eq!(
+                (hits - before.0, misses - before.1),
+                (2, 0),
+                "jobs={jobs}: one hit and no miss per keyed cell"
+            );
+        }
+        assert!(hub.is_empty(), "a replayed run was observed where it ran");
+    }
+
+    #[test]
+    fn a_config_whose_characterization_failed_is_quarantined_not_replayed() {
+        let spec = presets::test_cluster();
+        let configs = vec![
+            IoConfigBuilder::new(DeviceLayout::Raid5 {
+                disks: 1,
+                stripe: 1,
+            })
+            .build(),
+            IoConfigBuilder::new(DeviceLayout::Jbod).build(),
+        ];
+        let bt = bt_scenario;
+        let apps: Vec<AppFactory> = vec![("btio-full", &bt)];
+        let opts = CharacterizeOptions::quick();
+        let unkeyed = run_campaign(&spec, &configs, &apps, &opts).render();
+
+        let store = Store::memory();
+        let keys = stored_reports(&spec, &configs, &store);
+        // A report the failed configuration's cell could replay.
+        let report: EvalReport = store.get(keys[1]).expect("the JBOD report is stored");
+        store.put(keys[0], &report);
+        let before = store.kind_stats(Kind::Report);
+        let sup = SuperviseOptions::default();
+        let c = run_campaign_keyed(&spec, &configs, &apps, &opts, &sup, &store, &keys);
+        assert!(matches!(
+            c.outcomes[0],
+            CellOutcome::Skipped { ref reason, .. } if reason.contains("characterization failed")
+        ));
+        assert_eq!(c.render(), unkeyed);
+        let (hits, misses) = store.kind_stats(Kind::Report);
+        assert_eq!(
+            (hits - before.0, misses - before.1),
+            (1, 0),
+            "only the characterized config looks its report up"
+        );
+    }
+
+    #[test]
+    fn a_worker_panic_on_a_replayed_cell_is_retried_invisibly() {
+        let spec = presets::test_cluster();
+        let configs = quick_configs();
+        let bt = bt_scenario;
+        let apps: Vec<AppFactory> = vec![("btio-full", &bt)];
+        let opts = CharacterizeOptions::quick();
+        let unkeyed = quick_campaign().render();
+
+        let plan = HostFaultPlan::single(ChaosSite::WorkerPanic, 1, ChaosAction::Fail);
+        let store = Store::memory().with_host_faults(plan);
+        let keys = stored_reports(&spec, &configs, &store);
+        let before = store.kind_stats(Kind::Report);
+        let sup = SuperviseOptions::default();
+        let c = run_campaign_keyed(&spec, &configs, &apps, &opts, &sup, &store, &keys);
+        assert_eq!(store.host_faults().unwrap().fired().len(), 1);
+        assert_eq!(c.render(), unkeyed, "the retry leaves no trace");
+        assert!(c.outcomes.iter().all(CellOutcome::is_ok));
+        let (hits, misses) = store.kind_stats(Kind::Report);
+        assert_eq!((hits - before.0, misses - before.1), (2, 0));
     }
 
     #[test]

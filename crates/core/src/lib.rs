@@ -40,8 +40,8 @@ pub mod trace;
 
 pub use advisor::{predict, rank_configs, Prediction};
 pub use campaign::{
-    run_campaign, run_campaign_supervised, Campaign, CampaignCell, CellAttempt, CellMerger,
-    CellOutcome, SuperviseOptions,
+    run_campaign, run_campaign_keyed, run_campaign_supervised, Campaign, CampaignCell, CellAttempt,
+    CellMerger, CellOutcome, SuperviseOptions,
 };
 pub use charact::{
     characterize_app, characterize_system, characterize_system_memo, require_level, CharactError,

@@ -344,6 +344,13 @@ impl Store {
         )
     }
 
+    /// How many values of `kind` the memory tier holds: for reports, the
+    /// distinct evaluations stored so far.
+    pub fn kind_len(&self, kind: Kind) -> usize {
+        let memory = self.memory.lock().expect("store lock");
+        memory.keys().filter(|k| k.kind == kind).count()
+    }
+
     /// Host-side failure counters of both tiers.
     pub fn health(&self) -> StoreHealth {
         let mut health = self

@@ -569,6 +569,23 @@ fn max_span(rules: &[Rule]) -> u64 {
     })
 }
 
+/// Upper bound on the compute time, in nanoseconds, one execution of
+/// `rules` adds to a rank's clock: a `compute` step up to its largest
+/// draw, branches take their largest arm, and loops multiply. Saturates
+/// at `u64::MAX`, which no sum of whole microseconds reaches, so a
+/// saturated bound means the total does not fit in [`Time`].
+fn max_compute(rules: &[Rule]) -> u64 {
+    rules.iter().fold(0u64, |acc, rule| {
+        let ns = match rule {
+            Rule::Compute(micros) => micros.max().saturating_mul(1_000),
+            Rule::Io { .. } | Rule::Barrier | Rule::Sync(_) => 0,
+            Rule::Loop { count, body } => count.max().saturating_mul(max_compute(body)),
+            Rule::Choose { arms } => arms.iter().map(|(_, b)| max_compute(b)).max().unwrap_or(0),
+        };
+        acc.saturating_add(ns)
+    })
+}
+
 impl Grammar {
     /// Parses a grammar from its text form.
     pub fn parse(src: &str) -> Result<Grammar, GrammarError> {
@@ -581,8 +598,9 @@ impl Grammar {
         let mut files: Vec<FileDecl> = Vec::new();
         let mut phases: Vec<PhaseRule> = Vec::new();
         // Ops per rank so far (each file adds at most an open, a sync and
-        // a close around the phases), and bytes its file cursors moved.
-        let (mut ops, mut span) = (0u64, 0u64);
+        // a close around the phases), bytes its file cursors moved, and
+        // nanoseconds it computed.
+        let (mut ops, mut span, mut compute) = (0u64, 0u64, 0u64);
         while let Some(kw) = p.peek() {
             // The line of the directive that pushes the bound over the
             // ceiling is the one the error names.
@@ -637,6 +655,14 @@ impl Grammar {
                     ops = ops.saturating_add(repeat.max().saturating_mul(max_ops(&body).max(1)));
                     span = span.saturating_add(repeat.max().saturating_mul(max_span(&body)));
                     check_work(&ranks, ops, span, line)?;
+                    compute =
+                        compute.saturating_add(repeat.max().saturating_mul(max_compute(&body)));
+                    if compute == u64::MAX {
+                        return Err(GrammarError {
+                            line,
+                            message: "a rank's total compute time beyond 2^64 ns".into(),
+                        });
+                    }
                     phases.push(PhaseRule {
                         name: pname,
                         repeat,
@@ -1097,6 +1123,30 @@ mod tests {
         let err = Grammar::parse(&over).expect_err("compute beyond Time");
         assert_eq!(err.line, 3);
         assert!(err.message.contains("compute time"), "{err}");
+    }
+
+    #[test]
+    fn a_rank_s_total_compute_time_is_bounded_at_parse_time() {
+        // Each step fits in Time; three repeats of it do not.
+        let big = "scenario big\nranks 2\nfile f\n\
+                   phase p repeat 3 { compute 18446744073709551 write f block 1M count 1 }";
+        let err = Grammar::parse(big).expect_err("three steps beyond Time");
+        assert_eq!(err.line, 4);
+        assert!(err.message.contains("total compute time"), "{err}");
+        // Loops multiply, and phases add up.
+        let third = u64::MAX / 1_000 / 3;
+        let at = format!("scenario s\nphase p {{ loop 3 {{ compute {third} }} }}");
+        assert!(Grammar::parse(&at).is_ok());
+        let over = format!(
+            "scenario s\nphase p {{ loop 3 {{ compute {third} }} }}\nphase q {{ compute {third} }}"
+        );
+        assert_eq!(Grammar::parse(&over).expect_err("phases add").line, 3);
+        // A branch costs its largest arm, not the sum of its arms.
+        let half = u64::MAX / 1_000 / 2;
+        let arms = format!(
+            "scenario s\nphase p {{ choose {{ compute {half} }} or {{ compute {half} }} }}\nphase q {{ compute {half} }}"
+        );
+        assert!(Grammar::parse(&arms).is_ok());
     }
 
     #[test]

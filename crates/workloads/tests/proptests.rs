@@ -129,13 +129,14 @@ fn token() -> impl Strategy<Value = &'static str> {
 }
 
 /// Values a number of a grammar is set to: `u64::MAX` and one past it,
-/// powers of two that overflow once multiplied, zero and an inverted
-/// range.
-const EXTREMES: [&str; 6] = [
+/// powers of two that overflow once multiplied, the largest compute step
+/// (in microseconds) that fits in `Time`, zero and an inverted range.
+const EXTREMES: [&str; 7] = [
     "18446744073709551615",
     "18446744073709551616",
     "9223372036854775808",
     "4294967296",
+    "18446744073709551",
     "0",
     "4..2",
 ];
@@ -222,7 +223,8 @@ fn mutate(src: &str, m: &Mutation) -> String {
 /// under `seed` through `scenario` and pulls every op of every rank:
 /// parsing must reject the text with a `GrammarError` or yield programs
 /// within `MAX_RANK_OPS` rank-ops, each rank issuing exactly
-/// `ops_per_rank` ops. Nothing may panic on the way.
+/// `ops_per_rank` ops whose compute times sum inside `Time`. Nothing may
+/// panic on the way.
 fn check_grammar(src: &str, seed: u64, variants: usize) -> Result<(), TestCaseError> {
     let Ok(g) = workloads::Grammar::parse(src) else {
         return Ok(());
@@ -231,11 +233,19 @@ fn check_grammar(src: &str, seed: u64, variants: usize) -> Result<(), TestCaseEr
         let v = g.variant(seed, index);
         let mut rank_ops = 0u64;
         for mut program in v.scenario().programs {
-            let mut ops = 0u64;
-            while program.next_op().is_some() {
+            let (mut ops, mut compute) = (0u64, Some(0u64));
+            while let Some(op) = program.next_op() {
                 ops += 1;
+                if let mpisim::MpiOp::Compute(d) = op {
+                    compute = compute.and_then(|c| c.checked_add(d.0));
+                }
             }
             prop_assert_eq!(ops, v.ops_per_rank(), "{}", v.label);
+            prop_assert!(
+                compute.is_some(),
+                "{}: a rank's compute time overflows Time in {src:?}",
+                v.label
+            );
             rank_ops += ops;
         }
         prop_assert!(
